@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -92,7 +93,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    table = schur.character_table(args.n)
+    table = schur.character_table(args.n, _max_n(args))
     payload = {
         "n": args.n,
         "table": [
@@ -111,7 +112,7 @@ def cmd_schur(args) -> int:
 def cmd_chi(args) -> int:
     lam = parse_composition(args.lam)
     mu = parse_composition(args.mu)
-    print(schur.chi(lam, mu))
+    print(schur.chi(lam, mu, _max_n(args)))
     return EXIT_OK
 
 
@@ -152,8 +153,18 @@ def cmd_random_check(args) -> int:
         poset = random_poset(n, Fraction(1, 2), seed=args.seed * 10**6 + i)
         ok, _ = _verify_poset(poset, max_n)
         main_ok += ok
-        edge_ok += _check_add_edge(poset, max_n)
-        split_ok += _check_split(poset, max_n)
+        pair = rewrites.first_incomparable_pair(poset)
+        if pair is None:
+            edge_ok += 1
+        else:
+            p1, p2 = rewrites.add_edge_pair(poset, *pair)
+            edge_ok += _check_rewrite(poset, p1, p2, operator.add, max_n)
+        vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
+        if vertex is None or poset.n + 1 > max_n:
+            split_ok += 1
+        else:
+            p1, p2 = rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1)
+            split_ok += _check_rewrite(poset, p1, p2, operator.sub, max_n)
     print(
         f"{main_ok}/{args.count} main, {edge_ok}/{args.count} addEdge, "
         f"{split_ok}/{args.count} splitWeight"
@@ -162,36 +173,13 @@ def cmd_random_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _check_add_edge(poset, max_n) -> bool:
-    pair = rewrites._first_incomparable_pair(poset)
-    if pair is None:
-        return True
-    p1, p2 = rewrites.add_edge_pair(poset, *pair)
-    lhs = surjections.monomial_expansion(poset, max_n=max_n)
-    rhs = surjections.monomial_expansion(p1, max_n=max_n) + surjections.monomial_expansion(
-        p2, max_n=max_n
-    )
-    if lhs != rhs:
-        return False
-    lhs_mn = mn.mn_expansion(poset, max_n=max_n)
-    rhs_mn = mn.mn_expansion(p1, max_n=max_n) + mn.mn_expansion(p2, max_n=max_n)
-    return lhs_mn == rhs_mn
-
-
-def _check_split(poset, max_n) -> bool:
-    vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
-    if vertex is None or poset.n + 1 > max_n:
-        return True
-    p1, p2 = rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1)
-    lhs = surjections.monomial_expansion(poset, max_n=max_n)
-    rhs = surjections.monomial_expansion(p1, max_n=max_n) - surjections.monomial_expansion(
-        p2, max_n=max_n
-    )
-    if lhs != rhs:
-        return False
-    lhs_mn = mn.mn_expansion(poset, max_n=max_n)
-    rhs_mn = mn.mn_expansion(p1, max_n=max_n) - mn.mn_expansion(p2, max_n=max_n)
-    return lhs_mn == rhs_mn
+def _check_rewrite(poset, p1, p2, combine, max_n) -> bool:
+    """Whether the oracle and the rule each give combine(K(p1), K(p2)) == K(poset)."""
+    for expand in (surjections.monomial_expansion, mn.mn_expansion):
+        whole = expand(poset, max_n=max_n)
+        if whole != combine(expand(p1, max_n=max_n), expand(p2, max_n=max_n)):
+            return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,21 +8,23 @@ element is rooted; its sign is (-1)^(number of -1 tags).
 
 The main expansion sums, over surjections whose preimage blocks are all
 rooted, the product of block signs times root weights, indexed by the
-weighted level composition.
+weighted level composition.  It runs on `ChainEngine.fold`, the single
+traversal of the ideal lattice, with the block value sign * d(root); the
+oracle in `surjections` runs on the same fold with another block value.
+`block_strip_data` is the single tagger: it tags the block of a poset
+given by an element mask, and every strip query goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .posets import LabeledPoset, induced_subposet, is_naturally_labeled
+from .posets import LabeledPoset, is_naturally_labeled
 from .qsym import QsymExpr
 from .surjections import (
     ChainEngine,
-    OrderSurjection,
     _bits,
-    _surjection_from_blocks,
+    _surjection_from_chain,
     check_size_guard,
     mask_elements,
 )
@@ -56,101 +58,55 @@ def is_generalized_border_strip(p: LabeledPoset) -> bool:
 def is_gbs_via_hasse(p: LabeledPoset) -> bool:
     """Hasse criterion: no element is both top of a natural edge and
     bottom of a strict edge."""
-    tops_of_natural = set()
-    bottoms_of_strict = set()
-    for a, b in p.covers:
-        if p.edge_is_strict(a, b):
-            bottoms_of_strict.add(a)
-        else:
-            tops_of_natural.add(b)
-    return not (tops_of_natural & bottoms_of_strict)
+    return strip_data(p).is_gbs
+
+
+def block_strip_data(p: LabeledPoset, mask) -> StripData:
+    """Strip data of the sub-poset that p induces on the elements of `mask`.
+
+    Equals strip_data(induced_subposet(p, mask_elements(mask))): the tags
+    and the root index the block's elements in sorted order.  Hasse edges
+    are recomputed inside the block and classified by the ambient labels,
+    since only their relative order matters.
+    """
+    elements = mask_elements(mask)
+    below = dict.fromkeys(elements, 0)
+    for a, b in p.less:
+        if mask >> a & 1 and mask >> b & 1:
+            below[b] |= 1 << a
+    minus = plus = 0
+    for b in elements:
+        through = 0
+        for c in _bits(below[b]):
+            through |= below[c]
+        for a in _bits(below[b] & ~through):  # a is covered by b in the block
+            if p.omega[a] > p.omega[b]:
+                minus |= 1 << a
+            else:
+                plus |= 1 << b
+    if minus & plus:
+        return StripData(is_gbs=False)
+    tags = tuple(
+        TAG_MINUS if minus >> x & 1 else TAG_PLUS if plus >> x & 1 else TAG_STAR
+        for x in elements
+    )
+    stars = [i for i, tag in enumerate(tags) if tag == TAG_STAR]
+    if len(stars) == 1:
+        return StripData(True, tags, True, (-1) ** minus.bit_count(), stars[0])
+    return StripData(True, tags, False, None, None)
 
 
 def strip_data(p: LabeledPoset) -> StripData:
     """Full tagging of p when it is a generalized border strip."""
-    if not is_gbs_via_hasse(p):
-        return StripData(is_gbs=False)
-    tags = [TAG_STAR] * p.n
-    for a, b in p.covers:
-        if p.edge_is_strict(a, b):
-            tags[a] = TAG_MINUS
-        else:
-            tags[b] = TAG_PLUS
-    stars = [x for x in range(p.n) if tags[x] == TAG_STAR]
-    minus_count = sum(1 for t in tags if t == TAG_MINUS)
-    if len(stars) == 1:
-        return StripData(True, tuple(tags), True, (-1) ** minus_count, stars[0])
-    return StripData(True, tuple(tags), False, None, None)
+    return block_strip_data(p, (1 << p.n) - 1)
 
 
-def _block_contribution(p: LabeledPoset, preds, block_mask):
-    """sign * d(root) of an induced block, or 0 if the block is not rooted.
-
-    Works directly on the ambient poset: Hasse edges of the induced
-    sub-poset are recomputed within the block, and tags follow from the
-    ambient labels (only their relative order matters).
-    """
-    elements = list(_bits(block_mask))
-    if len(elements) == 1:
-        return p.d[elements[0]]
-    in_block = lambda x: block_mask >> x & 1
-    minus = set()
-    conflict_top_natural = set()
-    for a in elements:
-        for b in elements:
-            if (a, b) not in p.less:
-                continue
-            # cover within the block?
-            if any(in_block(c) and (a, c) in p.less and (c, b) in p.less for c in elements):
-                continue
-            if p.omega[a] > p.omega[b]:
-                minus.add(a)
-            else:
-                conflict_top_natural.add(b)
-    if minus & conflict_top_natural:
-        return 0  # not a generalized border strip
-    stars = [x for x in elements if x not in minus and x not in conflict_top_natural]
-    if len(stars) != 1:
+def _block_contribution(p: LabeledPoset, block_mask):
+    """sign * d(root) of an induced block, or 0 if the block is not rooted."""
+    sd = block_strip_data(p, block_mask)
+    if not sd.is_rooted:
         return 0
-    return (-1) ** len(minus) * p.d[stars[0]]
-
-
-def _block_minimum_weight(p: LabeledPoset, preds, block_mask):
-    """d(min) if the block has a unique minimum, else 0."""
-    minima = [b for b in _bits(block_mask) if preds[b] & block_mask == 0]
-    if len(minima) != 1:
-        return 0
-    return p.d[minima[0]]
-
-
-def _expansion(p, block_value, max_n):
-    check_size_guard(p, max_n)
-    engine = ChainEngine(p)
-    cache = {}
-
-    def value(block):
-        v = cache.get(block)
-        if v is None:
-            v = block_value(p, engine.preds, block)
-            cache[block] = v
-        return v
-
-    acc = {}
-
-    def walk(ideal, wtd, coeff):
-        if ideal == engine.full:
-            acc[tuple(wtd)] = acc.get(tuple(wtd), 0) + coeff
-            return
-        for block in engine.successors(ideal):
-            v = value(block)
-            if v == 0:
-                continue
-            wtd.append(sum(p.d[x] for x in _bits(block)))
-            walk(ideal | block, wtd, coeff * v)
-            wtd.pop()
-
-    walk(0, [], 1)
-    return QsymExpr("PsiHat", {a: Fraction(c) for a, c in acc.items()})
+    return sd.sign * p.d[mask_elements(block_mask)[sd.root]]
 
 
 def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
@@ -160,7 +116,8 @@ def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     product of block signs times root weights lands on PsiHat indexed by
     the weighted level composition.
     """
-    return _expansion(p, _block_contribution, max_n)
+    check_size_guard(p, max_n)
+    return QsymExpr("PsiHat", ChainEngine(p).fold(lambda block: _block_contribution(p, block)))
 
 
 def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
@@ -171,7 +128,15 @@ def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     """
     if not is_naturally_labeled(p):
         raise ValueError("poset is not naturally labeled")
-    return _expansion(p, _block_minimum_weight, max_n)
+    check_size_guard(p, max_n)
+    engine = ChainEngine(p)
+
+    def minimum_weight(block):
+        """d(min) if the block has a unique minimum, else 0."""
+        minima = [x for x in _bits(block) if engine.preds[x] & block == 0]
+        return p.d[minima[0]] if len(minima) == 1 else 0
+
+    return QsymExpr("PsiHat", engine.fold(minimum_weight))
 
 
 def rooted_surjections(p: LabeledPoset, max_n=None):
@@ -182,17 +147,10 @@ def rooted_surjections(p: LabeledPoset, max_n=None):
     induced sub-poset, whose elements are the sorted block elements.
     """
     check_size_guard(p, max_n)
-    engine = ChainEngine(p)
     out = []
-    for chain in engine.chains():
-        data = []
-        for block in chain:
-            sd = strip_data(induced_subposet(p, mask_elements(block)))
-            if not sd.is_rooted:
-                break
-            data.append(sd)
-        else:
-            blocks = [mask_elements(b) for b in chain]
-            out.append((_surjection_from_blocks(p, blocks), tuple(data)))
+    for chain in ChainEngine(p).chains():
+        data = tuple(block_strip_data(p, block) for block in chain)
+        if all(sd.is_rooted for sd in data):
+            out.append((_surjection_from_chain(p, chain), data))
     out.sort(key=lambda pair: (pair[0].ell, pair[0].levels))
     return out

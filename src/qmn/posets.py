@@ -19,12 +19,27 @@ class PosetError(ValueError):
     pass
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_pairs(n, pairs):
+    """Every relation must be a pair of element indices in 0..n-1."""
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise PosetError(f"relation {pair!r} is not a pair") from None
+        if not (_is_int(a) and _is_int(b) and 0 <= a < n and 0 <= b < n):
+            raise PosetError(f"pair ({a},{b}) references invalid elements")
+
+
 def _transitive_closure(n, pairs):
     """Reachability closure of the relation; raises PosetError on a cycle."""
+    pairs = list(pairs)
+    _check_pairs(n, pairs)
     succ = [set() for _ in range(n)]
     for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise PosetError(f"pair ({a},{b}) references invalid elements")
         if a == b:
             raise PosetError(f"cycle detected at element {a}")
         succ[a].add(b)
@@ -58,12 +73,13 @@ class LabeledPoset:
     d: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PosetError("poset must have at least one element")
-        if sorted(self.omega) != list(range(1, self.n + 1)):
+        if not _is_int(self.n) or self.n < 1:
+            raise PosetError(f"poset must have at least one element: n = {self.n!r}")
+        if not all(map(_is_int, self.omega)) or sorted(self.omega) != list(range(1, self.n + 1)):
             raise PosetError(f"labels must be a permutation of 1..{self.n}: {self.omega}")
-        if len(self.d) != self.n or any(w < 1 for w in self.d):
+        if len(self.d) != self.n or not all(_is_int(w) and w >= 1 for w in self.d):
             raise PosetError(f"weights must be positive integers: {self.d}")
+        _check_pairs(self.n, self.less)
         for a, b in self.less:
             if (b, a) in self.less or a == b:
                 raise PosetError("relation is not a strict partial order")
@@ -107,8 +123,9 @@ def from_covers(n, covers, omega, d) -> LabeledPoset:
     Redundant pairs are absorbed by re-deriving the transitive reduction;
     cycles are rejected.
     """
-    less = _transitive_closure(n, covers)
-    return LabeledPoset(n, less, tuple(omega), tuple(d))
+    # n, labels and weights are checked before n sizes the closure
+    p = LabeledPoset(n, frozenset(), tuple(omega), tuple(d))
+    return replace(p, less=_transitive_closure(n, covers))
 
 
 def from_json_dict(data) -> LabeledPoset:

@@ -92,7 +92,6 @@ def chain_from_marks(marks, weights) -> LabeledPoset:
     omega = [0] * n
     for rank, k in enumerate(keys, start=1):
         omega[k] = rank
-    covers = [(k, k + 1) for k in range(n - 1)]
     less = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
     return LabeledPoset(n, less, tuple(omega), tuple(weights))
 
@@ -106,7 +105,8 @@ def _as_chain(p: LabeledPoset):
     return order
 
 
-def _first_incomparable_pair(p: LabeledPoset):
+def first_incomparable_pair(p: LabeledPoset):
+    """The lexicographically smallest incomparable pair (i, j), i < j, or None."""
     for i in range(p.n):
         for j in range(i + 1, p.n):
             if (i, j) not in p.less and (j, i) not in p.less:
@@ -128,7 +128,7 @@ def reduce_to_natural_chains(p: LabeledPoset, max_n=None):
     stack = [(1, p)]
     while stack:
         sign, q = stack.pop()
-        pair = _first_incomparable_pair(q)
+        pair = first_incomparable_pair(q)
         if pair is not None:
             p1, p2 = add_edge_pair(q, *pair)
             stack.append((sign, p1))

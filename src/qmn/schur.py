@@ -73,17 +73,20 @@ def shape_to_poset(shape: SkewShape) -> LabeledPoset:
 
 
 @lru_cache(maxsize=None)
-def _schur_psihat_terms(lam):
-    return mn_expansion(shape_to_poset(SkewShape(lam))).terms
+def _schur_psihat_terms(lam, max_n):
+    return mn_expansion(shape_to_poset(SkewShape(lam)), max_n=max_n).terms
 
 
-def chi(lam, mu) -> int:
-    """Character value read off the poset expansion of the Schur function."""
+def chi(lam, mu, max_n=None) -> int:
+    """Character value read off the poset expansion of the Schur function.
+
+    `max_n` is the size guard of `mn_expansion`.
+    """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("lambda and mu must have the same size")
-    value = _schur_psihat_terms(lam).get(mu, Fraction(0))
+    value = _schur_psihat_terms(lam, max_n).get(mu, Fraction(0))
     if value.denominator != 1:
         raise ArithmeticError(f"non-integer character value {value}")
     return int(value)
@@ -195,10 +198,10 @@ def chi_bst(lam, mu) -> int:
     return rec(lam, len(mu))
 
 
-def character_table(n: int):
+def character_table(n: int, max_n=None):
     """All (lambda, mu, chi) triples for partitions of n, canonical order."""
     lams = partitions_of(n)
-    return [(lam, mu, chi(lam, mu)) for lam in lams for mu in lams]
+    return [(lam, mu, chi(lam, mu, max_n)) for lam in lams for mu in lams]
 
 
 def orthogonality_check(n: int) -> bool:

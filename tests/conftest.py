@@ -64,3 +64,12 @@ def budgeted_random_poset(n_max, weight_budget, seed) -> LabeledPoset:
         weights[rng.randrange(n)] += 1
         spare -= 1
     return LabeledPoset(p.n, p.less, p.omega, tuple(weights))
+
+
+@pytest.fixture(scope="session")
+def cross_check_posets(weighted_strip, cancellation_poset):
+    """The two fixtures plus 40 small random posets, for checks of the fold
+    and the block tagger against explicit enumeration."""
+    return [weighted_strip, cancellation_poset] + [
+        budgeted_random_poset(6, 8, seed) for seed in range(40)
+    ]

@@ -89,6 +89,10 @@ def test_input_error_exit_code(capsys, tmp_path):
     bad.write_text(json.dumps({"n": 2, "covers": [[0, 1], [1, 0]], "labels": [1, 2], "weights": [1, 1]}))
     code, _ = run(capsys, "expand", "--poset", str(bad))
     assert code == EXIT_INPUT
+    bool_weight = tmp_path / "bool_weight.json"
+    bool_weight.write_text(json.dumps({"n": 2, "covers": [], "labels": [1, 2], "weights": [True, 1]}))
+    code, _ = run(capsys, "expand", "--poset", str(bool_weight))
+    assert code == EXIT_INPUT
 
 
 def test_guard_exit_code(capsys, tmp_path, monkeypatch):
@@ -108,6 +112,10 @@ def test_guard_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_GUARD
     code, _ = run(capsys, "--max-n", "11", "expand", "--poset", str(big))
     assert code == EXIT_OK
+    code, _ = run(capsys, "chi", "--lam", "11", "--mu", "11")
+    assert code == EXIT_GUARD
+    code, out = run(capsys, "--max-n", "11", "chi", "--lam", "11", "--mu", "11")
+    assert code == EXIT_OK and out.strip() == "1"
     monkeypatch.setenv("QMN_MAX_N", "11")
     code, _ = run(capsys, "expand", "--poset", str(big))
     assert code == EXIT_OK

@@ -1,9 +1,13 @@
+import math
+from collections import Counter
+
 import pytest
 
 from qmn.mn import (
     TAG_MINUS,
     TAG_PLUS,
     TAG_STAR,
+    block_strip_data,
     is_generalized_border_strip,
     is_gbs_via_hasse,
     mn_expansion,
@@ -11,9 +15,9 @@ from qmn.mn import (
     rooted_surjections,
     strip_data,
 )
-from qmn.posets import from_covers, natural_relabeling
+from qmn.posets import from_covers, induced_subposet, natural_relabeling
 from qmn.qsym import QsymExpr, equals, psi_to_monomial
-from qmn.surjections import monomial_expansion
+from qmn.surjections import ChainEngine, mask_elements, monomial_expansion
 from tests.conftest import budgeted_random_poset
 
 
@@ -114,3 +118,21 @@ def test_natural_expansion_rejects_other_labelings(weighted_strip):
 
 def test_expansion_equals_oracle_as_functions(weighted_strip):
     assert equals(mn_expansion(weighted_strip), monomial_expansion(weighted_strip))
+
+
+def test_rule_fold_matches_rooted_surjections(cross_check_posets):
+    for p in cross_check_posets:
+        explicit = Counter()
+        for f, data in rooted_surjections(p):
+            explicit[f.wtd] += math.prod(
+                sd.sign * p.d[block[sd.root]] for block, sd in zip(f.blocks, data)
+            )
+        assert mn_expansion(p) == QsymExpr("PsiHat", explicit), p.to_json_dict()
+
+
+def test_block_tagger_matches_induced_subposet(cross_check_posets):
+    for p in cross_check_posets:
+        blocks = {block for chain in ChainEngine(p).chains() for block in chain}
+        via_mask = {m: block_strip_data(p, m) for m in blocks}
+        via_subposet = {m: strip_data(induced_subposet(p, mask_elements(m))) for m in blocks}
+        assert via_mask == via_subposet, p.to_json_dict()

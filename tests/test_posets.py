@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qmn.posets import (
+    LabeledPoset,
     PosetError,
     from_covers,
     induced_subposet,
@@ -33,6 +34,31 @@ def test_bad_labels_and_weights():
         from_covers(2, [(0, 1)], [1, 1], [1, 1])
     with pytest.raises(PosetError):
         from_covers(2, [(0, 1)], [1, 2], [1, 0])
+
+
+@pytest.mark.parametrize(
+    "n, covers, labels, weights",
+    [
+        (2, [], [1, 2], [True, 1]),
+        (2, [], [1, 2], [1.5, 1]),
+        (2, [], [1, 2], ["1", 1]),
+        (2, [], [1.0, 2], [1, 1]),
+        (True, [], [1], [1]),
+        (2.0, [], [1, 2], [1, 1]),
+        (3, [(0, 1, 2)], [1, 2, 3], [1, 1, 1]),
+        (2, [(0,)], [1, 2], [1, 1]),
+        (2, [(0, 1.0)], [1, 2], [1, 1]),
+    ],
+)
+def test_malformed_input_raises_poset_error(n, covers, labels, weights):
+    with pytest.raises(PosetError):
+        from_covers(n, covers, labels, weights)
+
+
+def test_relation_pairs_checked_on_construction():
+    for less in ({(0, 5)}, {(0, 1, 2)}, {(0, True)}):
+        with pytest.raises(PosetError):
+            LabeledPoset(2, frozenset(less), (1, 2), (1, 1))
 
 
 def test_weighted_strip_edge_kinds(weighted_strip):

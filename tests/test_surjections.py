@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -87,3 +88,11 @@ def test_size_guard():
     with pytest.raises(PosetTooLarge):
         monomial_expansion(big)
     assert monomial_expansion(big, max_n=11).degree == 11
+
+
+def test_fold_matches_explicit_enumeration(cross_check_posets):
+    for p in cross_check_posets:
+        explicit = Counter(
+            f.wtd for ell in range(1, p.n + 1) for f in enumerate_partition_surjections(p, ell)
+        )
+        assert monomial_expansion(p) == QsymExpr("M", explicit), p.to_json_dict()
