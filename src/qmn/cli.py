@@ -1,8 +1,9 @@
 """Command-line front end: read posets, run expansions, cross-verify.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 input error,
-3 size guard exceeded.  The guard defaults to 10 elements and can be
-overridden with --max-n or the QMN_MAX_N environment variable.
+3 size guard exceeded.  The guard defaults to 10 elements (10 parts for
+identities --d) and can be overridden with --max-n or the QMN_MAX_N
+environment variable.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ def cmd_chi(args) -> int:
 
 def cmd_identities(args) -> int:
     d = parse_composition(args.d)
+    max_n = _max_n(args)
+    if len(d) > max_n:
+        raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {max_n}")
     total = identities.probabilistic_sum(d)
     q_ok = identities.q_probabilistic_sum(d) == identities.ONE
     lhs, rhs = identities.linext_identity_check(d)
@@ -144,6 +148,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_random_check(args) -> int:
+    if args.count < 1 or args.n_max < 1:
+        raise ValueError("--count and --n-max must be at least 1")
     max_n = _max_n(args)
     if args.n_max > max_n:
         raise PosetTooLarge(f"--n-max {args.n_max} exceeds guard {max_n}")

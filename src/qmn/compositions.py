@@ -2,13 +2,15 @@
 
 Compositions are plain tuples of positive integers.  Partitions are
 compositions with weakly decreasing parts.  All arithmetic is exact.
+coarsening_blocks is the single walk over the cuts of a composition into
+consecutive runs; coarsenings, compositions_of, the PsiHat->M conversion
+and the coarsening identities all read it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import permutations
 
 
 def check_composition(alpha) -> tuple:
@@ -47,27 +49,29 @@ def canonical_key(alpha):
     return (sum(alpha), alpha)
 
 
+def coarsening_blocks(alpha):
+    """Yield each cut of alpha into consecutive runs, as a tuple of runs.
+
+    There are 2^(len(alpha)-1) cuts, from alpha itself (every run one part)
+    to the single run alpha.  This is the one walk over coarsenings: the
+    run sums give the coarsening and blocks_pi gives its pi scalar.  The
+    cuts of each suffix of alpha are built once and shared.
+    """
+    alpha = check_composition(alpha)
+    k = len(alpha)
+    tails = [[()]] * (k + 1)  # tails[i]: the cuts of alpha[i:]
+    for i in range(k - 1, -1, -1):
+        tails[i] = [(alpha[i:j],) + rest for j in range(i + 1, k + 1) for rest in tails[j]]
+    yield from tails[0]
+
+
 def coarsenings(alpha) -> set:
     """All compositions obtained by summing consecutive runs of alpha.
 
     The result has 2^(len(alpha)-1) elements and contains both alpha itself
     and the one-part composition (sum(alpha),).
     """
-    alpha = check_composition(alpha)
-    k = len(alpha)
-    out = set()
-    for cuts in range(1 << (k - 1)):
-        parts = []
-        acc = alpha[0]
-        for i in range(1, k):
-            if cuts >> (i - 1) & 1:
-                parts.append(acc)
-                acc = alpha[i]
-            else:
-                acc += alpha[i]
-        parts.append(acc)
-        out.add(tuple(parts))
-    return out
+    return {tuple([sum(run) for run in blocks]) for blocks in coarsening_blocks(alpha)}
 
 
 def refinement_blocks(alpha, beta) -> list:
@@ -114,10 +118,10 @@ def z(alpha) -> int:
     return result
 
 
-def pi(alpha, beta) -> int:
-    """Product over beta's parts of the running sums of the refining blocks."""
+def blocks_pi(blocks) -> int:
+    """Product over the blocks of the running sums within each block."""
     result = 1
-    for block in refinement_blocks(alpha, beta):
+    for block in blocks:
         acc = 0
         for a in block:
             acc += a
@@ -125,30 +129,34 @@ def pi(alpha, beta) -> int:
     return result
 
 
+def pi(alpha, beta) -> int:
+    """Product over beta's parts of the running sums of the refining blocks."""
+    return blocks_pi(refinement_blocks(alpha, beta))
+
+
 def rearrangements(mu) -> set:
-    """All distinct orderings of the parts of the partition mu."""
-    mu = check_partition(mu)
-    return set(permutations(mu))
+    """All distinct orderings of the parts of the partition mu.
+
+    Parts are inserted one at a time, so the cost is bounded by the size
+    of the output, not by len(mu)!.
+    """
+    out = {()}
+    for part in check_partition(mu):
+        out = {w[:i] + (part,) + w[i:] for w in out for i in range(len(w) + 1)}
+    return out
 
 
 def compositions_of(n: int):
     """All compositions of n, in canonical order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def gen(rest):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(1, rest + 1):
-            for tail in gen(rest - first):
-                yield (first,) + tail
-
-    return sorted(gen(n))
+    return sorted(coarsenings((1,) * n)) if n else [()]
 
 
 def partitions_of(n: int, max_part: int | None = None):
     """All partitions of n with parts bounded by max_part, largest-first."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if max_part is None:
         max_part = n
     if n == 0:

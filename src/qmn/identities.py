@@ -5,7 +5,8 @@ leading block weights divided by prefix sums equals 1; the module checks
 this exactly, its q-analog as a polynomial identity, the hook-length
 count of linear extensions of the associated trees, and the resulting
 factorial identity.  A seeded Monte Carlo sampler of the staircase
-probability space matches the exact terms empirically.
+probability space matches the exact terms empirically.  Every sum over
+coarsenings reads the cuts of d from compositions.coarsening_blocks.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .compositions import check_composition, compositions_of, refinement_blocks
+from .compositions import check_composition, coarsening_blocks
 
 
 # --- exact integer polynomials in q ----------------------------------------
@@ -72,36 +74,13 @@ def q_integer(m: int) -> QPolynomial:
 # --- coarsening bookkeeping -------------------------------------------------
 
 
-def coarsening_data(d, alpha):
-    """Breakpoints (1-based block start indices) and leading block weights."""
-    blocks = refinement_blocks(d, alpha)
-    breakpoints = []
-    roots = []
-    pos = 1
-    for block in blocks:
-        breakpoints.append(pos)
-        roots.append(block[0])
-        pos += len(block)
-    return tuple(breakpoints), tuple(roots)
-
-
 def _block_layout(d):
-    """Per coarsening: (roots d_{i_j}, block-end prefix weights, block sizes)."""
-    d = check_composition(d)
-    ell = len(d)
-    prefix = [0]
-    for w in d:
-        prefix.append(prefix[-1] + w)
+    """Per coarsening: (block sizes, roots d_{i_j}, block-end prefix weights)."""
     out = []
-    for beta in compositions_of(ell):
-        pos = 0
-        roots = []
-        ends = []
-        for size in beta:
-            roots.append(d[pos])
-            pos += size
-            ends.append(prefix[pos])
-        out.append((beta, tuple(roots), tuple(ends)))
+    for blocks in coarsening_blocks(d):
+        sizes = tuple([len(run) for run in blocks])
+        ends = list(accumulate([sum(run) for run in blocks]))
+        out.append((sizes, [run[0] for run in blocks], ends))
     return out
 
 
@@ -111,13 +90,9 @@ def omega_probability(d, beta) -> Fraction:
     beta = check_composition(beta)
     if sum(beta) != len(d):
         raise ValueError("beta must be a composition of len(d)")
-    for b, roots, ends in _block_layout(d):
-        if b == beta:
-            prob = Fraction(1)
-            for r, e in zip(roots, ends):
-                prob *= Fraction(r, e)
-            return prob
-    raise AssertionError("unreachable")
+    return next(
+        math.prod(map(Fraction, roots, ends)) for b, roots, ends in _block_layout(d) if b == beta
+    )
 
 
 def probabilistic_sum(d) -> Fraction:
@@ -125,13 +100,7 @@ def probabilistic_sum(d) -> Fraction:
 
     Computed without assuming the identity; the value is always 1.
     """
-    total = Fraction(0)
-    for _, roots, ends in _block_layout(d):
-        term = Fraction(1)
-        for r, e in zip(roots, ends):
-            term *= Fraction(r, e)
-        total += term
-    return total
+    return sum(math.prod(map(Fraction, roots, ends)) for _, roots, ends in _block_layout(d))
 
 
 def q_probabilistic_sum(d) -> QPolynomial:
@@ -271,10 +240,7 @@ def linext_identity_check(d):
     d = check_composition(d)
     lhs = 0
     for beta, roots, _ in _block_layout(d):
-        weight = 1
-        for r in roots:
-            weight *= r
-        lhs += linear_extension_count(beta_tree(d, beta)) * weight
+        lhs += linear_extension_count(beta_tree(d, beta)) * math.prod(roots)
     return lhs, math.factorial(sum(d))
 
 

@@ -123,17 +123,21 @@ def from_covers(n, covers, omega, d) -> LabeledPoset:
     Redundant pairs are absorbed by re-deriving the transitive reduction;
     cycles are rejected.
     """
+    try:
+        covers, omega, d = list(covers), tuple(omega), tuple(d)
+    except TypeError as exc:
+        raise PosetError(f"covers, labels and weights must be sequences: {exc}") from None
     # n, labels and weights are checked before n sizes the closure
-    p = LabeledPoset(n, frozenset(), tuple(omega), tuple(d))
+    p = LabeledPoset(n, frozenset(), omega, d)
     return replace(p, less=_transitive_closure(n, covers))
 
 
 def from_json_dict(data) -> LabeledPoset:
     try:
-        return from_covers(data["n"], [tuple(e) for e in data["covers"]],
-                           data["labels"], data["weights"])
+        fields = data["n"], data["covers"], data["labels"], data["weights"]
     except (KeyError, TypeError) as exc:
         raise PosetError(f"malformed poset data: {exc}") from exc
+    return from_covers(*fields)
 
 
 def load_poset(path) -> LabeledPoset:

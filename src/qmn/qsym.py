@@ -13,12 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .compositions import (
+    blocks_pi,
     canonical_key,
     check_composition,
     check_partition,
-    coarsenings,
+    coarsening_blocks,
     format_composition,
-    pi,
     rearrangements,
     z,
 )
@@ -95,15 +95,19 @@ def psi_to_monomial(expr: QsymExpr) -> QsymExpr:
     """Expand a Psi- or PsiHat-basis expression in the monomial basis.
 
     Psi_alpha = z_alpha * sum over coarsenings beta of M_beta / pi(alpha, beta);
-    PsiHat_alpha drops the z_alpha factor.
+    PsiHat_alpha drops the z_alpha factor.  Each cut of alpha into runs
+    gives beta as the run sums and pi(alpha, beta) from the runs.
     """
     if expr.basis == "M":
         return expr
     acc = {}
     for alpha, coeff in expr.terms.items():
         scale = z(alpha) if expr.basis == "Psi" else 1
-        for beta in coarsenings(alpha):
-            acc[beta] = acc.get(beta, Fraction(0)) + coeff * Fraction(scale, pi(alpha, beta))
+        for blocks in coarsening_blocks(alpha):
+            # from a list: tuple() resizes a tuple filled from a lazy iterator,
+            # and freed resized tuples pile up on CPython's free lists (peak RSS)
+            beta = tuple([sum(run) for run in blocks])
+            acc[beta] = acc.get(beta, Fraction(0)) + coeff * Fraction(scale, blocks_pi(blocks))
     return QsymExpr("M", acc)
 
 

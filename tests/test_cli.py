@@ -93,6 +93,13 @@ def test_input_error_exit_code(capsys, tmp_path):
     bool_weight.write_text(json.dumps({"n": 2, "covers": [], "labels": [1, 2], "weights": [True, 1]}))
     code, _ = run(capsys, "expand", "--poset", str(bool_weight))
     assert code == EXIT_INPUT
+    for argv in (
+        ("random-check", "--count", "2", "--n-max", "0"),
+        ("random-check", "--count", "-1"),
+        ("schur", "--n", "-1"),
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_INPUT
 
 
 def test_guard_exit_code(capsys, tmp_path, monkeypatch):
@@ -116,6 +123,11 @@ def test_guard_exit_code(capsys, tmp_path, monkeypatch):
     assert code == EXIT_GUARD
     code, out = run(capsys, "--max-n", "11", "chi", "--lam", "11", "--mu", "11")
     assert code == EXIT_OK and out.strip() == "1"
+    ones = ",".join(["1"] * 11)
+    code, _ = run(capsys, "identities", "--d", ones)
+    assert code == EXIT_GUARD
+    code, _ = run(capsys, "--max-n", "11", "identities", "--d", ones)
+    assert code == EXIT_OK
     monkeypatch.setenv("QMN_MAX_N", "11")
     code, _ = run(capsys, "expand", "--poset", str(big))
     assert code == EXIT_OK

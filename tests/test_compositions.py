@@ -1,8 +1,13 @@
+import math
+from itertools import accumulate, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qmn.compositions import (
+    blocks_pi,
     canonical_key,
+    coarsening_blocks,
     coarsenings,
     compositions_of,
     format_composition,
@@ -11,6 +16,7 @@ from qmn.compositions import (
     partitions_of,
     pi,
     rearrangements,
+    refinement_blocks,
     z,
 )
 
@@ -26,6 +32,19 @@ def test_coarsenings_examples():
 @given(compositions)
 def test_coarsening_count(alpha):
     assert len(coarsenings(alpha)) == 2 ** (len(alpha) - 1)
+
+
+def test_coarsening_blocks_against_refinement_blocks():
+    for n in range(1, 9):
+        for alpha in compositions_of(n):
+            cuts = list(coarsening_blocks(alpha))
+            assert len(cuts) == len(set(cuts)) == 2 ** (len(alpha) - 1)
+            for blocks in cuts:
+                assert sum(blocks, ()) == alpha
+                beta = tuple(map(sum, blocks))
+                assert list(blocks) == refinement_blocks(alpha, beta)
+                prefix_sums = (s for block in blocks for s in accumulate(block))
+                assert blocks_pi(blocks) == pi(alpha, beta) == math.prod(prefix_sums)
 
 
 def test_is_refinement_examples():
@@ -102,6 +121,10 @@ def test_rearrangements():
     assert rearrangements((2, 1)) == {(2, 1), (1, 2)}
     assert rearrangements((1, 1, 1)) == {(1, 1, 1)}
     assert len(rearrangements((2, 2, 1))) == 3
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            assert rearrangements(mu) == set(permutations(mu))
+    assert rearrangements((1,) * 12) == {(1,) * 12}
 
 
 def test_parse_format_roundtrip():

@@ -48,6 +48,9 @@ def test_bad_labels_and_weights():
         (3, [(0, 1, 2)], [1, 2, 3], [1, 1, 1]),
         (2, [(0,)], [1, 2], [1, 1]),
         (2, [(0, 1.0)], [1, 2], [1, 1]),
+        (2, [], 5, [1, 1]),
+        (2, 5, [1, 2], [1, 1]),
+        (2, [], [1, 2], None),
     ],
 )
 def test_malformed_input_raises_poset_error(n, covers, labels, weights):
