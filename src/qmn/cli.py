@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -122,6 +123,13 @@ def cmd_identities(args) -> int:
     max_n = _max_n(args)
     if len(d) > max_n:
         raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {max_n}")
+    if args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
+    n = sum(d)
+    try:  # before any sum runs: n! may pass Python's int-to-string digit limit
+        rhs_text = str(math.factorial(n))
+    except ValueError:
+        raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints") from None
     total = identities.probabilistic_sum(d)
     q_ok = identities.q_probabilistic_sum(d) == identities.ONE
     lhs, rhs = identities.linext_identity_check(d)
@@ -130,7 +138,7 @@ def cmd_identities(args) -> int:
         "sum": f"{total.numerator}/{total.denominator}",
         "q_identity": q_ok,
         "linext_lhs": str(lhs),
-        "linext_rhs": str(rhs),
+        "linext_rhs": rhs_text,
     }
     if args.samples:
         freqs = identities.staircase_monte_carlo(d, args.samples, args.seed)

@@ -5,14 +5,21 @@ leading block weights divided by prefix sums equals 1; the module checks
 this exactly, its q-analog as a polynomial identity, the hook-length
 count of linear extensions of the associated trees, and the resulting
 factorial identity.  A seeded Monte Carlo sampler of the staircase
-probability space matches the exact terms empirically.  Every sum over
-coarsenings reads the cuts of d from compositions.coarsening_blocks.
+probability space matches the exact terms empirically.
+
+Every function reads one object, a cut of d into consecutive runs: the
+first part of each run (its root) and the block-end prefix sums are the
+numerators and denominators of a staircase probability and the leaf
+weights and hooks of a beta-tree.  Sums over coarsenings stream the cuts
+from compositions.coarsening_blocks; omega_probability and beta_tree cut
+d once by the block sizes beta.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,28 +78,32 @@ def q_integer(m: int) -> QPolynomial:
     return QPolynomial((1,) * m)
 
 
-# --- coarsening bookkeeping -------------------------------------------------
+# --- cuts of d into runs ---------------------------------------------------
 
 
-def _block_layout(d):
-    """Per coarsening: (block sizes, roots d_{i_j}, block-end prefix weights)."""
-    out = []
-    for blocks in coarsening_blocks(d):
-        sizes = tuple([len(run) for run in blocks])
-        ends = list(accumulate([sum(run) for run in blocks]))
-        out.append((sizes, [run[0] for run in blocks], ends))
-    return out
+def _cut_terms(runs):
+    """Roots d_{i_j} and block-end prefix sums of a cut of d into runs."""
+    return [run[0] for run in runs], list(accumulate(map(sum, runs)))
 
 
-def omega_probability(d, beta) -> Fraction:
-    """Exact probability of the staircase event indexed by beta."""
+def _cut(d, beta):
+    """Cut d into consecutive runs of the sizes beta, validating both once."""
     d = check_composition(d)
     beta = check_composition(beta)
     if sum(beta) != len(d):
         raise ValueError("beta must be a composition of len(d)")
-    return next(
-        math.prod(map(Fraction, roots, ends)) for b, roots, ends in _block_layout(d) if b == beta
-    )
+    return tuple(d[end - size : end] for size, end in zip(beta, accumulate(beta)))
+
+
+def _probability(runs) -> Fraction:
+    """prod_j d_{i_j} / (alpha_1 + ... + alpha_j) for one cut."""
+    roots, ends = _cut_terms(runs)
+    return Fraction(math.prod(roots), math.prod(ends))
+
+
+def omega_probability(d, beta) -> Fraction:
+    """Exact probability of the staircase event indexed by beta."""
+    return _probability(_cut(d, beta))
 
 
 def probabilistic_sum(d) -> Fraction:
@@ -100,7 +111,7 @@ def probabilistic_sum(d) -> Fraction:
 
     Computed without assuming the identity; the value is always 1.
     """
-    return sum(math.prod(map(Fraction, roots, ends)) for _, roots, ends in _block_layout(d))
+    return sum(map(_probability, coarsening_blocks(d)))
 
 
 def q_probabilistic_sum(d) -> QPolynomial:
@@ -112,26 +123,15 @@ def q_probabilistic_sum(d) -> QPolynomial:
     function arithmetic; the constant polynomial 1 signals the identity.
     """
     d = check_composition(d)
-    prefix = []
-    acc = 0
-    for w in d:
-        acc += w
-        prefix.append(acc)
-    full = ONE
-    for value in prefix:
-        full = full * q_integer(value)
+    columns = tuple(accumulate(d))
+    full = math.prod(map(q_integer, columns), start=ONE)
     total = QPolynomial(())
-    for _, roots, ends in _block_layout(d):
-        term = ONE
-        shift = 0
-        for r, e in zip(roots, ends):
-            term = term * q_integer(r).shifted(shift)
-            shift = e
-        # multiply by the column totals absent from this term's denominator
-        for value in prefix:
-            if value not in ends:
-                term = term * q_integer(value)
-        total = total + term
+    for runs in coarsening_blocks(d):
+        roots, ends = _cut_terms(runs)
+        factors = [q_integer(r).shifted(shift) for r, shift in zip(roots, [0] + ends)]
+        # the column totals absent from this term's denominator
+        factors += [q_integer(value) for value in columns if value not in ends]
+        total = total + math.prod(factors, start=ONE)
     if total == full:
         return ONE
     raise ArithmeticError("q-identity numerator does not match the cleared denominator")
@@ -154,31 +154,21 @@ class BetaTree:
     total: int
 
 
+def _tree(runs) -> BetaTree:
+    """The tree of one cut of d: a leaf group and a hook per run."""
+    _, hooks = _cut_terms(runs)
+    leaf_blocks = tuple((run[0] - 1,) + run[1:] for run in runs)
+    return BetaTree(len(runs), leaf_blocks, tuple(hooks), hooks[-1])
+
+
 def beta_tree(d, beta) -> BetaTree:
     """Build the tree for composition d and block pattern beta of len(d)."""
-    d = check_composition(d)
-    beta = check_composition(beta)
-    if sum(beta) != len(d):
-        raise ValueError("beta must be a composition of len(d)")
-    blocks = []
-    hooks = []
-    pos = 0
-    acc = 0
-    for size in beta:
-        group = [d[pos] - 1] + list(d[pos + 1 : pos + size])
-        blocks.append(tuple(group))
-        acc += sum(d[pos : pos + size])
-        hooks.append(acc)
-        pos += size
-    return BetaTree(len(beta), tuple(blocks), tuple(hooks), sum(d))
+    return _tree(_cut(d, beta))
 
 
 def linear_extension_count(tree: BetaTree) -> int:
     """Hook formula: total! / product of internal hooks (leaves have hook 1)."""
-    denom = 1
-    for h in tree.hooks:
-        denom *= h
-    count, rem = divmod(math.factorial(tree.total), denom)
+    count, rem = divmod(math.factorial(tree.total), math.prod(tree.hooks))
     if rem:
         raise ArithmeticError("hook product does not divide the factorial")
     return count
@@ -239,8 +229,9 @@ def linext_identity_check(d):
     """Both sides of: sum over beta of |LinExt| * prod roots = (sum d)!."""
     d = check_composition(d)
     lhs = 0
-    for beta, roots, _ in _block_layout(d):
-        lhs += linear_extension_count(beta_tree(d, beta)) * math.prod(roots)
+    for runs in coarsening_blocks(d):
+        roots, _ = _cut_terms(runs)
+        lhs += linear_extension_count(_tree(runs)) * math.prod(roots)
     return lhs, math.factorial(sum(d))
 
 
@@ -254,36 +245,30 @@ def classify_staircase_vector(d, vector):
     of the last column gives the final part, those columns are removed,
     and the procedure repeats.
     """
-    d = check_composition(d)
-    prefix = [0]
-    for w in d:
-        prefix.append(prefix[-1] + w)
-    if len(vector) != len(d) or any(not 1 <= vector[i] <= prefix[i + 1] for i in range(len(d))):
+    columns = tuple(accumulate(check_composition(d)))
+    if len(vector) != len(columns) or any(not 1 <= a <= c for a, c in zip(vector, columns)):
         raise ValueError("vector is not a staircase selection")
-    beta_rev = []
-    remaining = len(d)
-    while remaining > 0:
-        a = vector[remaining - 1]
-        row = next(i for i in range(1, remaining + 1) if prefix[i - 1] < a <= prefix[i])
-        part = remaining - row + 1
-        beta_rev.append(part)
-        remaining -= part
-    return tuple(reversed(beta_rev))
+    return _classify(columns, vector)
+
+
+def _classify(columns, vector):
+    """classify_staircase_vector on a checked vector, given the column totals."""
+    parts = []
+    remaining = len(columns)
+    while remaining:
+        row = bisect_left(columns, vector[remaining - 1], 0, remaining)
+        parts.append(remaining - row)
+        remaining = row
+    return tuple(reversed(parts))
 
 
 def staircase_monte_carlo(d, samples, seed):
     """Empirical frequency of each block pattern under uniform sampling."""
-    d = check_composition(d)
+    columns = tuple(accumulate(check_composition(d)))
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    prefix = []
-    acc = 0
-    for w in d:
-        acc += w
-        prefix.append(acc)
     rng = random.Random(seed)
-    counts = Counter()
-    for _ in range(samples):
-        vector = [rng.randint(1, bound) for bound in prefix]
-        counts[classify_staircase_vector(d, vector)] += 1
+    counts = Counter(
+        _classify(columns, [rng.randint(1, c) for c in columns]) for _ in range(samples)
+    )
     return {beta: Fraction(c, samples) for beta, c in counts.items()}

@@ -92,14 +92,9 @@ def chi(lam, mu, max_n=None) -> int:
     return int(value)
 
 
-def _skew_cells(outer, inner):
-    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
-    return [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
-
-
 def _is_border_strip(outer, inner):
     """The skew diagram outer/inner is connected with no 2x2 block."""
-    cells = set(_skew_cells(outer, inner))
+    cells = set(SkewShape(outer, inner).cells())
     if not cells:
         return False
     if any({(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells for r, c in cells):
@@ -118,20 +113,17 @@ def _is_border_strip(outer, inner):
 
 
 def _strip_height(outer, inner):
-    return len({r for r, _ in _skew_cells(outer, inner)}) - 1
+    return len({r for r, _ in SkewShape(outer, inner).cells()}) - 1
 
 
 def _strip_removals(lam, size):
     """All (smaller shape, height) after removing one border strip of `size`."""
-    lam = tuple(lam)
-    total = sum(lam)
     out = []
-    for smaller in partitions_of(total - size):
-        padded = smaller + (0,) * (len(lam) - len(smaller))
-        if len(smaller) > len(lam) or any(padded[i] > lam[i] for i in range(len(lam))):
+    for smaller in partitions_of(sum(lam) - size):
+        if len(smaller) > len(lam) or any(s > part for s, part in zip(smaller, lam)):
             continue
-        if _is_border_strip(lam, padded):
-            out.append((smaller, _strip_height(lam, padded)))
+        if _is_border_strip(lam, smaller):
+            out.append((smaller, _strip_height(lam, smaller)))
     return out
 
 
@@ -166,7 +158,7 @@ def border_strip_tableaux(lam, mu):
             return
         size = mu[k - 1]
         for smaller, height in _strip_removals(shape, size):
-            strip = set(_skew_cells(shape, smaller + (0,) * (len(shape) - len(smaller))))
+            strip = SkewShape(shape, smaller).cells()
             assignment = dict(removed)
             assignment.update({cell: k for cell in strip})
             peel(smaller, k - 1, assignment, [height] + heights)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from qmn import identities
 from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -97,6 +98,7 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("random-check", "--count", "2", "--n-max", "0"),
         ("random-check", "--count", "-1"),
         ("schur", "--n", "-1"),
+        ("identities", "--d", "1,2", "--samples", "-5"),
     ):
         code, _ = run(capsys, *argv)
         assert code == EXIT_INPUT
@@ -131,3 +133,14 @@ def test_guard_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QMN_MAX_N", "11")
     code, _ = run(capsys, "expand", "--poset", str(big))
     assert code == EXIT_OK
+
+
+def test_identities_refuses_before_any_sum(capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError("a coarsening sum ran before the input was checked")
+
+    monkeypatch.setattr(identities, "probabilistic_sum", refuse)
+    monkeypatch.setattr(identities, "q_probabilistic_sum", refuse)
+    for argv in (("identities", "--d", "800,800,800"), ("identities", "--d", "1,2", "--samples", "-5")):
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_INPUT

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmn.compositions import coarsening_blocks
 from qmn.identities import (
     ONE,
     BetaTree,
@@ -69,6 +70,8 @@ def test_beta_tree_shape():
     tree2 = beta_tree((1, 5, 2), (1, 2))
     assert tree2.leaf_blocks == ((0,), (4, 2))
     assert tree2.hooks == (1, 8)
+    with pytest.raises(ValueError):
+        beta_tree((1, 1), (3,))
 
 
 def test_hook_count_examples():
@@ -103,6 +106,23 @@ def test_linext_identity():
         assert lhs == rhs == math.factorial(sum(d))
 
 
+def test_every_term_reads_one_cut():
+    # hooks are the block-end prefix sums, and each staircase probability
+    # is its tree's hook count times the roots over (sum d)!
+    for n in range(1, 6):
+        for d in itertools.product(range(1, 4), repeat=n):
+            terms = []
+            for runs in coarsening_blocks(d):
+                beta = tuple(len(run) for run in runs)
+                tree = beta_tree(d, beta)
+                assert tree.hooks == tuple(itertools.accumulate(map(sum, runs)))
+                roots = math.prod(run[0] for run in runs)
+                term = omega_probability(d, beta)
+                assert term == Fraction(linear_extension_count(tree) * roots, math.factorial(sum(d)))
+                terms.append(term)
+            assert sum(terms) == probabilistic_sum(d) == 1
+
+
 def test_classify_staircase_vector():
     assert classify_staircase_vector((1, 1), (1, 1)) == (2,)
     assert classify_staircase_vector((1, 1), (1, 2)) == (1, 1)
@@ -132,3 +152,16 @@ def test_monte_carlo_close_and_deterministic():
     for beta, f in freq.items():
         assert abs(f - omega_probability(d, beta)) < Fraction(2, 100)
     assert abs(sum(freq.values()) - 1) == 0
+
+
+def test_monte_carlo_stream_is_pinned():
+    # a seed draws randint(1, d_1 + ... + d_i) column by column, sample by sample
+    assert staircase_monte_carlo((1, 3, 2, 1), 60, seed=2026) == {
+        (1, 1, 1, 1): Fraction(1, 30),
+        (1, 1, 2): Fraction(1, 4),
+        (1, 2, 1): Fraction(1, 60),
+        (1, 3): Fraction(7, 15),
+        (2, 2): Fraction(1, 10),
+        (3, 1): Fraction(1, 60),
+        (4,): Fraction(7, 60),
+    }
