@@ -6,6 +6,7 @@ from .mn import (
     is_generalized_border_strip,
     is_gbs_via_hasse,
     mn_expansion,
+    mn_monomial_expansion,
     natural_mn_expansion,
     rooted_surjections,
     strip_data,

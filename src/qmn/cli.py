@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import identities, mn, qsym, rewrites, schur, surjections
 from .compositions import format_composition, parse_composition
 from .posets import PosetError, load_poset, random_poset
-from .qsym import QsymExpr, equals, psi_to_monomial
+from .qsym import QsymExpr
 from .surjections import PosetTooLarge
 
 EXIT_OK = 0
@@ -44,12 +44,10 @@ def _print_expr(expr: QsymExpr, as_json: bool):
 
 
 def _expand_in_basis(poset, basis, max_n) -> QsymExpr:
+    if basis == "M":
+        return mn.mn_monomial_expansion(poset, max_n=max_n)
     expr = mn.mn_expansion(poset, max_n=max_n)
-    if basis == "PsiHat":
-        return expr
-    if basis == "Psi":
-        return qsym.psihat_to_psi(expr)
-    return psi_to_monomial(expr)
+    return qsym.psihat_to_psi(expr) if basis == "Psi" else expr
 
 
 def cmd_expand(args) -> int:
@@ -66,21 +64,24 @@ def cmd_oracle(args) -> int:
 
 def _verify_poset(poset, max_n, corrupt=False):
     """Compare the two pipelines; returns (ok, first difference or None)."""
-    via_mn = psi_to_monomial(mn.mn_expansion(poset, max_n=max_n))
+    via_mn = mn.mn_monomial_expansion(poset, max_n=max_n)
     oracle = surjections.monomial_expansion(poset, max_n=max_n)
     if corrupt:
         bumped = dict(via_mn.terms)
         alpha = next(iter(sorted(bumped)), (1,))
         bumped[alpha] = bumped.get(alpha, Fraction(0)) + 1
         via_mn = QsymExpr("M", bumped)
-    if equals(via_mn, oracle):
-        return True, None
     for alpha in sorted(set(via_mn.terms) | set(oracle.terms)):
         a = via_mn.coefficient(alpha)
         b = oracle.coefficient(alpha)
         if a != b:
             return False, (alpha, a, b)
-    return False, None
+    return True, None
+
+
+def _describe(diff) -> str:
+    alpha, a, b = diff
+    return f"coefficient of M_{format_composition(alpha)} differs: rule {a} vs oracle {b}"
 
 
 def cmd_verify(args) -> int:
@@ -89,8 +90,7 @@ def cmd_verify(args) -> int:
     if ok:
         print("PASS")
         return EXIT_OK
-    alpha, a, b = diff
-    print(f"FAIL: coefficient of M_{format_composition(alpha)} differs: rule {a} vs oracle {b}")
+    print(f"FAIL: {_describe(diff)}")
     return EXIT_FAIL
 
 
@@ -118,6 +118,19 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
+def _factorial_text(n) -> str:
+    """str(n!), refused before n! is computed when it has more digits than
+    Python's int-to-string limit allows (a limit of 0 means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bound, product = 10**limit, 1
+        for k in range(2, n + 1):
+            product *= k
+            if product >= bound:
+                raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints")
+    return str(math.factorial(n))
+
+
 def cmd_identities(args) -> int:
     d = parse_composition(args.d)
     max_n = _max_n(args)
@@ -125,11 +138,7 @@ def cmd_identities(args) -> int:
         raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {max_n}")
     if args.samples < 0:
         raise ValueError("--samples must be nonnegative")
-    n = sum(d)
-    try:  # before any sum runs: n! may pass Python's int-to-string digit limit
-        rhs_text = str(math.factorial(n))
-    except ValueError:
-        raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints") from None
+    rhs_text = _factorial_text(sum(d))  # before any sum runs
     total = identities.probabilistic_sum(d)
     q_ok = identities.q_probabilistic_sum(d) == identities.ONE
     lhs, rhs = identities.linext_identity_check(d)
@@ -164,21 +173,32 @@ def cmd_random_check(args) -> int:
     main_ok = edge_ok = split_ok = 0
     for i in range(args.count):
         n = 1 + (i % args.n_max)
-        poset = random_poset(n, Fraction(1, 2), seed=args.seed * 10**6 + i)
-        ok, _ = _verify_poset(poset, max_n)
-        main_ok += ok
+        seed = args.seed * 10**6 + i
+        poset = random_poset(n, Fraction(1, 2), seed=seed)
+        ok, diff = _verify_poset(poset, max_n)
         pair = rewrites.first_incomparable_pair(poset)
         if pair is None:
-            edge_ok += 1
+            edge = True
         else:
             p1, p2 = rewrites.add_edge_pair(poset, *pair)
-            edge_ok += _check_rewrite(poset, p1, p2, operator.add, max_n)
+            edge = _check_rewrite(poset, p1, p2, operator.add, max_n)
         vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
         if vertex is None or poset.n + 1 > max_n:
-            split_ok += 1
+            split = True
         else:
             p1, p2 = rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1)
-            split_ok += _check_rewrite(poset, p1, p2, operator.sub, max_n)
+            split = _check_rewrite(poset, p1, p2, operator.sub, max_n)
+        main_ok += ok
+        edge_ok += edge
+        split_ok += split
+        failed = [] if ok else [f"main ({_describe(diff)})"]
+        if not edge:
+            failed.append("addEdge")
+        if not split:
+            failed.append("splitWeight")
+        if failed:
+            # random_poset(n, 1/2, seed=seed) rebuilds the poset
+            print(f"FAIL: poset seed {seed}, n {n}: {', '.join(failed)}", file=sys.stderr)
     print(
         f"{main_ok}/{args.count} main, {edge_ok}/{args.count} addEdge, "
         f"{split_ok}/{args.count} splitWeight"

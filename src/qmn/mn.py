@@ -11,13 +11,20 @@ rooted, the product of block signs times root weights, indexed by the
 weighted level composition.  It runs on `ChainEngine.fold`, the single
 traversal of the ideal lattice, with the block value sign * d(root); the
 oracle in `surjections` runs on the same fold with another block value.
+`mn_monomial_expansion` gives the rule in the monomial basis from the same
+fold, carrying the sum of the open run of parts, so no PsiHat term is
+ever converted on its own.
 `block_strip_data` is the single tagger: it tags the block of a poset
 given by an element mask, and every strip query goes through it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 from .posets import LabeledPoset, is_naturally_labeled
 from .qsym import QsymExpr
@@ -118,6 +125,30 @@ def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     """
     check_size_guard(p, max_n)
     return QsymExpr("PsiHat", ChainEngine(p).fold(lambda block: _block_contribution(p, block)))
+
+
+def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
+    """psi_to_monomial(mn_expansion(p)), converted inside the fold.
+
+    PsiHat_alpha is the sum over cuts of alpha into runs of M_beta / pi,
+    with beta the run sums and pi the product of the running sums inside
+    each run.  So the fold carries the open run's sum s: a block of weight
+    w divides by t = s + w and either closes the run as the part t or
+    keeps it open.  Scaled by (s + rest)! / s!, with rest the weight not
+    yet placed, every step is an integer: closing multiplies by
+    C(t + rest, t) * (t-1)! / s!, keeping open by (t-1)! / s!.  The sum is
+    divided by (sum of d)! once, at the end.
+    """
+    check_size_guard(p, max_n)
+    fact = list(accumulate(range(1, sum(p.d) + 1), operator.mul, initial=1))
+
+    def run_step(s, w, rest):
+        t = s + w
+        keep = fact[t - 1] // fact[s]
+        return ((0, keep * comb(t + rest, t), (t,)), (t, keep, ()))
+
+    terms = ChainEngine(p).fold(lambda block: _block_contribution(p, block), run_step)
+    return QsymExpr("M", {beta: Fraction(c, fact[-1]) for beta, c in terms.items()})
 
 
 def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:

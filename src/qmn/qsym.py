@@ -3,7 +3,10 @@
 Supported bases: 'M' (monomial), 'Psi' (quasisymmetric power sum) and
 'PsiHat' (unnormalized quasisymmetric power sum, PsiHat = Psi / z).
 The monomial basis is the canonical comparison basis; expressions in a
-power sum basis are converted on demand.
+power sum basis are converted on demand by `psi_to_monomial`, the generic
+converter, which expands each term over all cuts of its composition.  The
+power sum rule of a poset has a faster route to the monomial basis,
+`mn.mn_monomial_expansion`, which converts inside the ideal-lattice fold.
 """
 
 from __future__ import annotations

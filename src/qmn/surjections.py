@@ -9,9 +9,11 @@ Internally a surjection is a chain of order ideals: the union of the
 first k preimage blocks is always an order ideal.  `ChainEngine.fold` is
 the single traversal of the ideal lattice behind every expansion: the
 oracle here, and the power sum rules in `mn`, which differ only in the
-value they give each block.  `ChainEngine.chains` lists the chains one by
-one for the explicit enumerators, which tests compare the fold against.
-Bitmasks over elements keep this fast.
+value they give each block.  The fold can carry a small value per ideal
+along the chain; `mn` uses it to write the rule in the monomial basis
+while it walks.  `ChainEngine.chains` lists the chains one by one for the
+explicit enumerators, which tests compare the fold against.  Bitmasks
+over elements keep this fast.
 """
 
 from __future__ import annotations
@@ -106,41 +108,52 @@ class ChainEngine:
 
         yield from walk(0, ())
 
-    def fold(self, block_value):
+    def fold(self, block_value, step=None):
         """Sum over all chains of the product of their block values.
 
-        Returns a map from weighted level composition to coefficient.  For
-        each ideal I the map F(I) of suffix compositions is built once,
-        F(I) = sum over successor blocks B of value(B) * (wtd(B) + F(I | B)),
-        and F(0) is the answer (Stanley, EC1 3.4 and 4.7).  Values are
+        Returns a map from composition to coefficient.  The walk runs over
+        states (ideal I, carried value s), from (0, 0) to (P, 0); a state
+        (P, s) with s != 0 ends no chain.  A block B
+        of weight w = wtd(B) leaves the weight `rest` of P outside I | B, and
+        `step(s, w, rest)` lists its moves as triples (s', factor, head): a
+        move goes to the state (I | B, s'), multiplies by value(B) * factor
+        and puts head in front of the suffix.  The map F(I, s) of suffix
+        compositions is built once per state,
+        F(I, s) = sum over B and moves of value(B) * factor * (head + F(I | B, s')),
+        and F(0, 0) is the answer.  Without a step, s stays 0 and every block
+        adds the part wtd(B), so F(0, 0) maps each weighted level composition
+        to its sum of products (Stanley, EC1 3.4 and 4.7).  Values are
         computed once per block mask; blocks valued 0 are pruned.
         """
         d = self.p.d
         blocks = {}
-        suffixes = {self.full: {(): 1}}
+        states = {(self.full, 0): {(): 1}}
 
-        def build(ideal):
-            out = suffixes.get(ideal)
+        def build(ideal, s, rest):
+            out = states.get((ideal, s))
             if out is not None:
                 return out
             out = {}
             for block in self.successors(ideal):
                 entry = blocks.get(block)
                 if entry is None:
-                    entry = blocks[block] = (
-                        block_value(block),
-                        (sum(d[x] for x in _bits(block)),),
-                    )
-                value, head = entry
+                    w = sum(d[x] for x in _bits(block))
+                    entry = blocks[block] = (block_value(block), w, ((0, 1, (w,)),))
+                value, w, moves = entry
                 if value == 0:
                     continue
-                for tail, coeff in build(ideal | block).items():
-                    key = head + tail
-                    out[key] = out.get(key, 0) + value * coeff
-            suffixes[ideal] = out
+                after = rest - w
+                if step is not None:
+                    moves = step(s, w, after)
+                for carry, factor, head in moves:
+                    scale = value * factor
+                    for tail, coeff in build(ideal | block, carry, after).items():
+                        key = head + tail
+                        out[key] = out.get(key, 0) + scale * coeff
+            states[ideal, s] = out
             return out
 
-        return build(0)
+        return build(0, 0, sum(d))
 
 
 def _bits(mask):

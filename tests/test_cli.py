@@ -1,8 +1,16 @@
 import json
+import math
+import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
-from qmn import identities
-from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, main
+import pytest
+
+from qmn import identities, mn
+from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main
+from qmn.posets import random_poset
+from qmn.qsym import QsymExpr
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 STRIP = str(DATA / "weighted_strip.json")
@@ -81,6 +89,32 @@ def test_random_check(capsys):
     code, out = run(capsys, "random-check", "--count", "12", "--n-max", "5", "--seed", "3")
     assert code == EXIT_OK
     assert out.strip().startswith("12/12 main")
+    assert capsys.readouterr().err == ""
+
+
+def test_random_check_failures_name_their_seed(capsys, monkeypatch):
+    fused = mn.mn_monomial_expansion
+
+    def bumped(poset, max_n=None):
+        terms = dict(fused(poset, max_n=max_n).terms)
+        alpha = min(terms)
+        terms[alpha] += 1
+        return QsymExpr("M", terms)
+
+    monkeypatch.setattr(mn, "mn_monomial_expansion", bumped)
+    code = main(["random-check", "--count", "3", "--n-max", "3", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == "0/3 main, 3/3 addEdge, 3/3 splitWeight\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for i, line in enumerate(lines):
+        seed, n = 3 * 10**6 + i, 1 + i % 3
+        match = re.fullmatch(r"FAIL: poset seed (\d+), n (\d+): main \((.*)\)", line)
+        assert match and (int(match[1]), int(match[2])) == (seed, n)
+        ok, (alpha, a, b) = _verify_poset(random_poset(n, Fraction(1, 2), seed=seed), 10)
+        assert not ok and a == b + 1
+        assert match[3] == f"coefficient of M_{','.join(map(str, alpha))} differs: rule {a} vs oracle {b}"
 
 
 def test_input_error_exit_code(capsys, tmp_path):
@@ -139,8 +173,42 @@ def test_identities_refuses_before_any_sum(capsys, monkeypatch):
     def refuse(d):
         raise AssertionError("a coarsening sum ran before the input was checked")
 
+    factorial = math.factorial
+
+    def small_factorial(n):
+        assert n < 10**4, "n! computed for a refused --d"
+        return factorial(n)
+
     monkeypatch.setattr(identities, "probabilistic_sum", refuse)
     monkeypatch.setattr(identities, "q_probabilistic_sum", refuse)
+    monkeypatch.setattr(math, "factorial", small_factorial)
     for argv in (("identities", "--d", "800,800,800"), ("identities", "--d", "1,2", "--samples", "-5")):
         code, _ = run(capsys, *argv)
         assert code == EXIT_INPUT
+    code = main(["identities", "--d", "2000000"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: --d sums to 2000000, and 2000000! has more digits than Python prints\n"
+    )
+
+
+@pytest.fixture
+def str_digits():
+    """Sets Python's int-to-string digit limit for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-string digit limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_identities_factorial_guard_follows_the_digit_limit(capsys, str_digits):
+    code, out = run(capsys, "identities", "--d", "400,400,400")
+    assert code == EXIT_OK and f"linext_rhs\t{math.factorial(1200)}" in out
+    str_digits(640)  # the smallest limit Python accepts
+    for n in range(305, 316):  # 310! has 640 digits, 311! has 642
+        code, _ = run(capsys, "identities", "--d", str(n))
+        assert code == (EXIT_INPUT if n > 310 else EXIT_OK), n
+    str_digits(0)  # no limit
+    code, out = run(capsys, "identities", "--d", "2000")
+    assert code == EXIT_OK and f"linext_rhs\t{math.factorial(2000)}" in out

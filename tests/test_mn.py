@@ -1,7 +1,12 @@
+import json
 import math
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+
+from qmn.cli import main
 
 from qmn.mn import (
     TAG_MINUS,
@@ -11,14 +16,15 @@ from qmn.mn import (
     is_generalized_border_strip,
     is_gbs_via_hasse,
     mn_expansion,
+    mn_monomial_expansion,
     natural_mn_expansion,
     rooted_surjections,
     strip_data,
 )
-from qmn.posets import from_covers, induced_subposet, natural_relabeling
+from qmn.posets import LabeledPoset, from_covers, induced_subposet, natural_relabeling, random_poset
 from qmn.qsym import QsymExpr, equals, psi_to_monomial
 from qmn.surjections import ChainEngine, mask_elements, monomial_expansion
-from tests.conftest import budgeted_random_poset
+from tests.conftest import DATA, budgeted_random_poset
 
 
 def test_weighted_strip_tags_and_sign(weighted_strip):
@@ -86,12 +92,20 @@ def test_cancellation_example(cancellation_poset):
     assert signs == [-1, 1]
 
 
-def test_expansion_matches_monomial_oracle(weighted_strip, cancellation_poset):
-    for p in (weighted_strip, cancellation_poset):
-        assert psi_to_monomial(mn_expansion(p)) == monomial_expansion(p)
-    for seed in range(40):
-        p = budgeted_random_poset(6, 8, seed)
-        assert psi_to_monomial(mn_expansion(p)) == monomial_expansion(p)
+def _weighted_nine(seed) -> LabeledPoset:
+    """A random 9-element poset of density 1/2 with weights 1..3."""
+    rng = random.Random(seed)
+    p = random_poset(9, Fraction(1, 2), seed=seed)
+    return LabeledPoset(p.n, p.less, p.omega, tuple(rng.randint(1, 3) for _ in range(9)))
+
+
+def test_expansion_matches_monomial_oracle(cross_check_posets):
+    """The rule converted term by term, the rule converted inside the fold,
+    and the oracle all agree."""
+    for p in cross_check_posets + [_weighted_nine(seed) for seed in (0, 1, 4, 5)]:
+        fused = mn_monomial_expansion(p)
+        assert fused.basis == "M"
+        assert fused == psi_to_monomial(mn_expansion(p)) == monomial_expansion(p), p.to_json_dict()
 
 
 def test_rooted_surjection_data_is_consistent(cancellation_poset):
@@ -136,3 +150,15 @@ def test_block_tagger_matches_induced_subposet(cross_check_posets):
         via_mask = {m: block_strip_data(p, m) for m in blocks}
         via_subposet = {m: strip_data(induced_subposet(p, mask_elements(m))) for m in blocks}
         assert via_mask == via_subposet, p.to_json_dict()
+
+
+@pytest.mark.parametrize("name", ["weighted_strip.json", "cancellation.json"])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_expand_in_m_basis_prints_the_oracle(capsys, name, as_json):
+    path = str(DATA / name)
+    assert main(["expand", "--poset", path, "--basis", "M", *as_json]) == 0
+    via_rule = capsys.readouterr().out
+    assert main(["oracle", "--poset", path, *as_json]) == 0
+    assert via_rule == capsys.readouterr().out
+    if as_json:
+        assert json.loads(via_rule)["basis"] == "M"
