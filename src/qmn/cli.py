@@ -1,9 +1,9 @@
 """Command-line front end: read posets, run expansions, cross-verify.
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 input error,
-3 size guard exceeded.  The guard defaults to 10 elements (10 parts for
-identities --d) and can be overridden with --max-n or the QMN_MAX_N
-environment variable.
+Exit codes: 0 success/PASS, 1 verification FAIL (also a check that
+raises ArithmeticError), 2 input error, 3 size guard exceeded.  The guard
+defaults to 10 elements (10 parts for identities --d) and can be
+overridden with --max-n or the QMN_MAX_N environment variable.
 """
 
 from __future__ import annotations
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
     except PosetTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except ArithmeticError as exc:  # a check that found its identity false
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (PosetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

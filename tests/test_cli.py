@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qmn import identities, mn
+from qmn import identities, mn, schur
 from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main
 from qmn.posets import random_poset
 from qmn.qsym import QsymExpr
@@ -83,6 +84,48 @@ def test_identities_report(capsys):
     assert report["q_identity"] is True
     assert report["linext_lhs"] == report["linext_rhs"]
     assert sum(int(v.split("/")[0]) for v in report["monte_carlo"].values()) > 0
+
+
+def _false_q_sums(d):
+    return [identities.ONE] * (len(d) + 1)
+
+
+_real_tree = identities._tree
+
+
+def _tree_with_a_bad_hook(runs):
+    tree = _real_tree(runs)
+    return dataclasses.replace(tree, hooks=tree.hooks[:-1] + (tree.total + 1,))
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, message",
+    [
+        (
+            identities, "_q_suffix_sums", _false_q_sums, ("identities", "--d", "1,2"),
+            "q-identity numerator does not match the cleared denominator",
+        ),
+        (
+            identities, "_tree", _tree_with_a_bad_hook, ("identities", "--d", "1,2"),
+            "hook product does not divide the factorial",
+        ),
+        (
+            schur, "_schur_psihat_terms", lambda lam, max_n: {(3,): Fraction(1, 2)},
+            ("chi", "--lam", "3", "--mu", "3"), "non-integer character value 1/2",
+        ),
+    ],
+    ids=["q check", "hook check", "chi"],
+)
+def test_a_failed_check_exits_fail_without_a_traceback(
+    capsys, monkeypatch, module, name, fake, argv, message
+):
+    # each check is made false, so its own ArithmeticError is what main meets
+    monkeypatch.setattr(module, name, fake)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert captured.out == ""
+    assert captured.err == f"FAIL: {message}\n"
 
 
 def test_random_check(capsys):

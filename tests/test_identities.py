@@ -7,6 +7,8 @@ import pytest
 from qmn.compositions import coarsening_blocks
 from qmn.identities import (
     ONE,
+    _probability_suffix_sums,
+    _q_suffix_sums,
     BetaTree,
     beta_tree,
     brute_force_linear_extensions,
@@ -60,8 +62,49 @@ def test_probabilities_sum_to_one():
 
 def test_q_identity():
     for d in SMALL:
-        if len(d) <= 4:
-            assert q_probabilistic_sum(d) == ONE
+        assert q_probabilistic_sum(d) == ONE
+
+
+def _q_reference(d, i):
+    """The cleared q total of the cuts of d[i:], term by term: each term
+    keeps q^(prefix before a run) [root]_q per run and the column totals
+    of d that end no run."""
+    columns = tuple(itertools.accumulate(d))
+    before = columns[i - 1] if i else 0
+    total = QPolynomial(())
+    for runs in coarsening_blocks(d[i:]):
+        ends = [before + end for end in itertools.accumulate(map(sum, runs))]
+        factors = [q_integer(run[0]).shifted(s) for run, s in zip(runs, [before] + ends)]
+        factors += [q_integer(c) for c in columns[i:] if c not in ends]
+        total = total + math.prod(factors, start=ONE)
+    return total
+
+
+def _probability_reference(d, i):
+    """The cuts of d[i:] summed term by term, over d's own prefix sums."""
+    before = sum(d[:i])
+    return sum(
+        Fraction(
+            math.prod(run[0] for run in runs),
+            math.prod(before + end for end in itertools.accumulate(map(sum, runs))),
+        )
+        for runs in coarsening_blocks(d[i:])
+    )
+
+
+def test_sums_by_recursion_match_the_term_by_term_reference():
+    # the identities hold, so comparing only verdicts would pass a sum that
+    # returned the cleared denominator; compare the computed sums themselves,
+    # the suffix sums S(i), i > 0, too, which no verdict reads
+    for n in range(1, 7):
+        for d in itertools.product(range(1, 4), repeat=n):
+            q_sums, p_sums = _q_suffix_sums(d), _probability_suffix_sums(d)
+            assert len(q_sums) == len(p_sums) == n + 1
+            assert q_sums[n] == ONE and p_sums[n] == 1
+            for i in range(n) if n <= 5 else (0,):
+                assert q_sums[i] == _q_reference(d, i), (d, i)
+                assert p_sums[i] == _probability_reference(d, i), (d, i)
+            assert probabilistic_sum(d) == p_sums[0] == 1
 
 
 def test_beta_tree_shape():

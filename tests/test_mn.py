@@ -162,3 +162,34 @@ def test_expand_in_m_basis_prints_the_oracle(capsys, name, as_json):
     assert via_rule == capsys.readouterr().out
     if as_json:
         assert json.loads(via_rule)["basis"] == "M"
+
+
+def _renumbered(p, perm) -> LabeledPoset:
+    """p with vertex x renamed perm[x]; labels and weights move with their vertices."""
+    omega, d = [0] * p.n, [0] * p.n
+    for x, y in enumerate(perm):
+        omega[y], d[y] = p.omega[x], p.d[x]
+    less = frozenset((perm[a], perm[b]) for a, b in p.less)
+    return LabeledPoset(p.n, less, tuple(omega), tuple(d))
+
+
+EXPANSIONS = (mn_expansion, mn_monomial_expansion, monomial_expansion)
+
+
+def test_renumbering_the_vertices_leaves_every_expansion_unchanged(cross_check_posets):
+    rng = random.Random(2026)
+    for p in cross_check_posets:
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        if perm == sorted(perm):
+            perm.reverse()  # a shuffle that moved nothing would test nothing
+        renumbered = _renumbered(p, perm)
+        for expand in EXPANSIONS:
+            assert expand(renumbered) == expand(p), (expand.__name__, perm, p.to_json_dict())
+
+
+def test_every_composition_sums_to_the_total_weight(cross_check_posets):
+    for p in cross_check_posets:
+        for expand in EXPANSIONS:
+            terms = expand(p).terms
+            assert terms and all(sum(alpha) == sum(p.d) for alpha in terms), p.to_json_dict()
