@@ -18,9 +18,8 @@ from fractions import Fraction
 
 from . import identities, mn, qsym, rewrites, schur, surjections
 from .compositions import format_composition, parse_composition
-from .posets import PosetError, load_poset, random_poset
+from .posets import DEFAULT_MAX_N, PosetError, PosetTooLarge, load_poset, random_poset
 from .qsym import QsymExpr
-from .surjections import PosetTooLarge
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -32,7 +31,7 @@ def _max_n(args) -> int:
     if args.max_n is not None:
         return args.max_n
     env = os.environ.get("QMN_MAX_N")
-    return int(env) if env else surjections.DEFAULT_MAX_N
+    return int(env) if env else DEFAULT_MAX_N
 
 
 def _print_expr(expr: QsymExpr, as_json: bool):
@@ -51,13 +50,13 @@ def _expand_in_basis(poset, basis, max_n) -> QsymExpr:
 
 
 def cmd_expand(args) -> int:
-    poset = load_poset(args.poset)
+    poset = load_poset(args.poset, _max_n(args))
     _print_expr(_expand_in_basis(poset, args.basis, _max_n(args)), args.json)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    poset = load_poset(args.poset)
+    poset = load_poset(args.poset, _max_n(args))
     _print_expr(surjections.monomial_expansion(poset, max_n=_max_n(args)), args.json)
     return EXIT_OK
 
@@ -85,7 +84,7 @@ def _describe(diff) -> str:
 
 
 def cmd_verify(args) -> int:
-    poset = load_poset(args.poset)
+    poset = load_poset(args.poset, _max_n(args))
     ok, diff = _verify_poset(poset, _max_n(args), corrupt=args.selftest_corrupt)
     if ok:
         print("PASS")

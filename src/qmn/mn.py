@@ -15,7 +15,9 @@ oracle in `surjections` runs on the same fold with another block value.
 fold, carrying the sum of the open run of parts, so no PsiHat term is
 ever converted on its own.
 `block_strip_data` is the single tagger: it tags the block of a poset
-given by an element mask, and every strip query goes through it.
+given by an element mask, and every strip query goes through it.  It reads
+the block's Hasse edges from `LabeledPoset.lower_covers`, the routine that
+also gives the poset's own covers.
 """
 
 from __future__ import annotations
@@ -26,15 +28,9 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .posets import LabeledPoset, is_naturally_labeled
+from .posets import LabeledPoset, _bits, check_size_guard, is_naturally_labeled, mask_elements
 from .qsym import QsymExpr
-from .surjections import (
-    ChainEngine,
-    _bits,
-    _surjection_from_chain,
-    check_size_guard,
-    mask_elements,
-)
+from .surjections import ChainEngine, _surjection_from_chain
 
 TAG_MINUS = -1
 TAG_PLUS = 1
@@ -73,20 +69,12 @@ def block_strip_data(p: LabeledPoset, mask) -> StripData:
 
     Equals strip_data(induced_subposet(p, mask_elements(mask))): the tags
     and the root index the block's elements in sorted order.  Hasse edges
-    are recomputed inside the block and classified by the ambient labels,
-    since only their relative order matters.
+    are those of the block (`lower_covers`), classified by the ambient
+    labels, since only their relative order matters.
     """
-    elements = mask_elements(mask)
-    below = dict.fromkeys(elements, 0)
-    for a, b in p.less:
-        if mask >> a & 1 and mask >> b & 1:
-            below[b] |= 1 << a
     minus = plus = 0
-    for b in elements:
-        through = 0
-        for c in _bits(below[b]):
-            through |= below[c]
-        for a in _bits(below[b] & ~through):  # a is covered by b in the block
+    for b, lower in p.lower_covers(mask):
+        for a in _bits(lower):  # a is covered by b in the block
             if p.omega[a] > p.omega[b]:
                 minus |= 1 << a
             else:
@@ -95,7 +83,7 @@ def block_strip_data(p: LabeledPoset, mask) -> StripData:
         return StripData(is_gbs=False)
     tags = tuple(
         TAG_MINUS if minus >> x & 1 else TAG_PLUS if plus >> x & 1 else TAG_STAR
-        for x in elements
+        for x in _bits(mask)
     )
     stars = [i for i, tag in enumerate(tags) if tag == TAG_STAR]
     if len(stars) == 1:
@@ -123,7 +111,7 @@ def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     product of block signs times root weights lands on PsiHat indexed by
     the weighted level composition.
     """
-    check_size_guard(p, max_n)
+    check_size_guard(p.n, max_n)
     return QsymExpr("PsiHat", ChainEngine(p).fold(lambda block: _block_contribution(p, block)))
 
 
@@ -139,7 +127,7 @@ def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     C(t + rest, t) * (t-1)! / s!, keeping open by (t-1)! / s!.  The sum is
     divided by (sum of d)! once, at the end.
     """
-    check_size_guard(p, max_n)
+    check_size_guard(p.n, max_n)
     fact = list(accumulate(range(1, sum(p.d) + 1), operator.mul, initial=1))
 
     def run_step(s, w, rest):
@@ -159,15 +147,14 @@ def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     """
     if not is_naturally_labeled(p):
         raise ValueError("poset is not naturally labeled")
-    check_size_guard(p, max_n)
-    engine = ChainEngine(p)
+    check_size_guard(p.n, max_n)
 
     def minimum_weight(block):
         """d(min) if the block has a unique minimum, else 0."""
-        minima = [x for x in _bits(block) if engine.preds[x] & block == 0]
+        minima = [x for x in _bits(block) if p.below[x] & block == 0]
         return p.d[minima[0]] if len(minima) == 1 else 0
 
-    return QsymExpr("PsiHat", engine.fold(minimum_weight))
+    return QsymExpr("PsiHat", ChainEngine(p).fold(minimum_weight))
 
 
 def rooted_surjections(p: LabeledPoset, max_n=None):
@@ -177,7 +164,7 @@ def rooted_surjections(p: LabeledPoset, max_n=None):
     numbers of levels.  Roots in each StripData are indices into the
     induced sub-poset, whose elements are the sorted block elements.
     """
-    check_size_guard(p, max_n)
+    check_size_guard(p.n, max_n)
     out = []
     for chain in ChainEngine(p).chains():
         data = tuple(block_strip_data(p, block) for block in chain)

@@ -4,6 +4,13 @@ Elements are indices 0..n-1.  The labeling omega is a bijection onto
 {1..n}; an edge (a, b) of the Hasse diagram with a covered by b is strict
 when omega(a) > omega(b), otherwise weak (natural).  Each element carries
 a positive integer weight.
+
+This is the one module that turns the order relation into bitmasks over
+elements: `LabeledPoset.below` holds each element's predecessors, and
+`LabeledPoset.lower_covers` is the one Hasse routine, for the whole poset
+or the subposet on any mask.  Validation and the closure run on the same
+masks.  It also holds the size guard, which `load_poset` checks before a
+file's relation is closed.
 """
 
 from __future__ import annotations
@@ -14,9 +21,22 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
+DEFAULT_MAX_N = 10
+
 
 class PosetError(ValueError):
     pass
+
+
+class PosetTooLarge(ValueError):
+    """Raised when enumeration would exceed the size guard."""
+
+
+def check_size_guard(n, max_n=None):
+    """Refuse more than max_n elements; None means DEFAULT_MAX_N."""
+    limit = DEFAULT_MAX_N if max_n is None else max_n
+    if n > limit:
+        raise PosetTooLarge(f"poset has {n} elements, guard is {limit}")
 
 
 def _is_int(x):
@@ -34,29 +54,35 @@ def _check_pairs(n, pairs):
             raise PosetError(f"pair ({a},{b}) references invalid elements")
 
 
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_elements(mask):
+    return tuple(_bits(mask))
+
+
 def _transitive_closure(n, pairs):
-    """Reachability closure of the relation; raises PosetError on a cycle."""
+    """Reachability closure of the relation; raises PosetError on a cycle,
+    naming a self-loop in pair order, else the smallest element on a cycle."""
     pairs = list(pairs)
     _check_pairs(n, pairs)
-    succ = [set() for _ in range(n)]
+    below = [0] * n
     for a, b in pairs:
         if a == b:
             raise PosetError(f"cycle detected at element {a}")
-        succ[a].add(b)
-    closure = set()
-    for start in range(n):
-        seen = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if start in seen:
-            raise PosetError(f"cycle detected at element {start}")
-        closure.update((start, y) for y in seen)
-    return frozenset(closure)
+        below[b] |= 1 << a
+    for k in range(n):  # Warshall: admit k as an intermediate element
+        for x in range(n):
+            if below[x] >> k & 1:
+                below[x] |= below[k]
+    for x in range(n):
+        if below[x] >> x & 1:
+            raise PosetError(f"cycle detected at element {x}")
+    return frozenset((a, b) for b in range(n) for a in _bits(below[b]))
 
 
 @dataclass(frozen=True)
@@ -75,26 +101,46 @@ class LabeledPoset:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 1:
             raise PosetError(f"poset must have at least one element: n = {self.n!r}")
-        if not all(map(_is_int, self.omega)) or sorted(self.omega) != list(range(1, self.n + 1)):
+        if (
+            len(self.omega) != self.n  # before n sizes the list of labels
+            or not all(map(_is_int, self.omega))
+            or sorted(self.omega) != list(range(1, self.n + 1))
+        ):
             raise PosetError(f"labels must be a permutation of 1..{self.n}: {self.omega}")
         if len(self.d) != self.n or not all(_is_int(w) and w >= 1 for w in self.d):
             raise PosetError(f"weights must be positive integers: {self.d}")
         _check_pairs(self.n, self.less)
+        below, closed = self.below, True
         for a, b in self.less:
-            if (b, a) in self.less or a == b:
+            if a == b or below[a] >> b & 1:
                 raise PosetError("relation is not a strict partial order")
-            for c in range(self.n):
-                if (b, c) in self.less and (a, c) not in self.less:
-                    raise PosetError("relation is not transitively closed")
+            closed = closed and not below[a] & ~below[b]
+        if not closed:
+            raise PosetError("relation is not transitively closed")
+
+    @cached_property
+    def below(self):
+        """below[b] is the mask of the elements a <_P b."""
+        below = [0] * self.n
+        for a, b in self.less:
+            below[b] |= 1 << a
+        return tuple(below)
+
+    def lower_covers(self, mask):
+        """Pairs (b, C) for the elements b of `mask` in increasing order, with
+        C the mask of the elements that b covers in the subposet on `mask`."""
+        below = self.below
+        for b in _bits(mask):
+            lower, through = below[b] & mask, 0
+            for c in _bits(lower):
+                through |= below[c]
+            yield b, lower & ~through
 
     @cached_property
     def covers(self):
         """Hasse edges (a, b) with a covered by b, sorted."""
-        out = []
-        for a, b in self.less:
-            if not any((a, c) in self.less and (c, b) in self.less for c in range(self.n)):
-                out.append((a, b))
-        return sorted(out)
+        full = (1 << self.n) - 1
+        return sorted((a, b) for b, lower in self.lower_covers(full) for a in _bits(lower))
 
     def edge_is_strict(self, a, b) -> bool:
         """Whether the Hasse edge (a, b) is strict: omega(a) > omega(b)."""
@@ -117,36 +163,48 @@ class LabeledPoset:
         }
 
 
+def _unclosed(n, covers, omega, d):
+    """The poset without relations and the relation as a list, once n,
+    labels and weights are checked: n sizes the closure only after that."""
+    try:
+        covers, omega, d = list(covers), tuple(omega), tuple(d)
+    except TypeError as exc:
+        raise PosetError(f"covers, labels and weights must be sequences: {exc}") from None
+    return LabeledPoset(n, frozenset(), omega, d), covers
+
+
 def from_covers(n, covers, omega, d) -> LabeledPoset:
     """Build a poset from any generating set of relations.
 
     Redundant pairs are absorbed by re-deriving the transitive reduction;
     cycles are rejected.
     """
-    try:
-        covers, omega, d = list(covers), tuple(omega), tuple(d)
-    except TypeError as exc:
-        raise PosetError(f"covers, labels and weights must be sequences: {exc}") from None
-    # n, labels and weights are checked before n sizes the closure
-    p = LabeledPoset(n, frozenset(), omega, d)
+    p, covers = _unclosed(n, covers, omega, d)
     return replace(p, less=_transitive_closure(n, covers))
 
 
-def from_json_dict(data) -> LabeledPoset:
+def _json_fields(data):
     try:
-        fields = data["n"], data["covers"], data["labels"], data["weights"]
+        return data["n"], data["covers"], data["labels"], data["weights"]
     except (KeyError, TypeError) as exc:
         raise PosetError(f"malformed poset data: {exc}") from exc
-    return from_covers(*fields)
 
 
-def load_poset(path) -> LabeledPoset:
+def from_json_dict(data) -> LabeledPoset:
+    return from_covers(*_json_fields(data))
+
+
+def load_poset(path, max_n=None) -> LabeledPoset:
+    """The poset in a JSON file, refused past the size guard max_n (None
+    means DEFAULT_MAX_N) before its relation is closed."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PosetError(f"invalid JSON in {path}: {exc}") from exc
-    return from_json_dict(data)
+    p, covers = _unclosed(*_json_fields(data))
+    check_size_guard(p.n, max_n)
+    return replace(p, less=_transitive_closure(p.n, covers))
 
 
 def is_naturally_labeled(p: LabeledPoset) -> bool:
@@ -156,14 +214,10 @@ def is_naturally_labeled(p: LabeledPoset) -> bool:
 
 def topological_order(p: LabeledPoset):
     """Deterministic linear extension: smallest available index first."""
-    below = [set() for _ in range(p.n)]
-    for a, b in p.less:
-        below[b].add(a)
-    done = set()
-    order = []
+    done, order = 0, []
     while len(order) < p.n:
-        nxt = min(x for x in range(p.n) if x not in done and below[x] <= done)
-        done.add(nxt)
+        nxt = min(x for x in range(p.n) if not done >> x & 1 and not p.below[x] & ~done)
+        done |= 1 << nxt
         order.append(nxt)
     return order
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .posets import LabeledPoset, PosetError
-from .surjections import check_size_guard
+from .posets import LabeledPoset, PosetError, check_size_guard
 
 
 def add_edge_pair(p: LabeledPoset, a, b):
@@ -98,7 +97,7 @@ def chain_from_marks(marks, weights) -> LabeledPoset:
 
 def _as_chain(p: LabeledPoset):
     """Bottom-to-top element order if p is totally ordered, else None."""
-    order = sorted(range(p.n), key=lambda x: sum(1 for y in range(p.n) if (y, x) in p.less))
+    order = sorted(range(p.n), key=lambda x: p.below[x].bit_count())
     for i in range(p.n - 1):
         if (order[i], order[i + 1]) not in p.less:
             return None
@@ -123,7 +122,7 @@ def reduce_to_natural_chains(p: LabeledPoset, max_n=None):
     strict chain equals the weak-edge chain minus the chain with the two
     vertices merged.  Each returned triple is (sign, chain, weights).
     """
-    check_size_guard(p, max_n)
+    check_size_guard(p.n, max_n)
     out = []
     stack = [(1, p)]
     while stack:

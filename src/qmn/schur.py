@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .compositions import check_partition, partitions_of, z
 from .mn import mn_expansion
-from .posets import LabeledPoset, from_covers
+from .posets import LabeledPoset, check_size_guard, from_covers
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,14 @@ def _schur_psihat_terms(lam, max_n):
 def chi(lam, mu, max_n=None) -> int:
     """Character value read off the poset expansion of the Schur function.
 
-    `max_n` is the size guard of `mn_expansion`.
+    `max_n` is the size guard, checked against the size of lambda before
+    its shape poset is built.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("lambda and mu must have the same size")
+    check_size_guard(sum(lam), max_n)
     value = _schur_psihat_terms(lam, max_n).get(mu, Fraction(0))
     if value.denominator != 1:
         raise ArithmeticError(f"non-integer character value {value}")
@@ -191,7 +193,12 @@ def chi_bst(lam, mu) -> int:
 
 
 def character_table(n: int, max_n=None):
-    """All (lambda, mu, chi) triples for partitions of n, canonical order."""
+    """All (lambda, mu, chi) triples for partitions of n, canonical order.
+
+    `max_n` is the size guard, checked against n before any partition of n
+    is listed.
+    """
+    check_size_guard(n, max_n)
     lams = partitions_of(n)
     return [(lam, mu, chi(lam, mu, max_n)) for lam in lams for mu in lams]
 

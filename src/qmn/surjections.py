@@ -13,27 +13,23 @@ value they give each block.  The fold can carry a small value per ideal
 along the chain; `mn` uses it to write the rule in the monomial basis
 while it walks.  `ChainEngine.chains` lists the chains one by one for the
 explicit enumerators, which tests compare the fold against.  Bitmasks
-over elements keep this fast.
+over elements keep this fast; ideals are tested against the predecessor
+masks `LabeledPoset.below`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .posets import LabeledPoset
+from .posets import (  # DEFAULT_MAX_N and PosetTooLarge are re-exported
+    DEFAULT_MAX_N,
+    LabeledPoset,
+    PosetTooLarge,
+    _bits,
+    check_size_guard,
+    mask_elements,
+)
 from .qsym import QsymExpr
-
-DEFAULT_MAX_N = 10
-
-
-class PosetTooLarge(ValueError):
-    """Raised when enumeration would exceed the size guard."""
-
-
-def check_size_guard(p: LabeledPoset, max_n=None):
-    limit = DEFAULT_MAX_N if max_n is None else max_n
-    if p.n > limit:
-        raise PosetTooLarge(f"poset has {p.n} elements, guard is {limit}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +67,6 @@ class ChainEngine:
     def __init__(self, p: LabeledPoset):
         self.p = p
         self.full = (1 << p.n) - 1
-        self.preds = [0] * p.n
-        for a, b in p.less:
-            self.preds[b] |= 1 << a
         self._succ = {}
 
     def successors(self, ideal):
@@ -82,15 +75,13 @@ class ChainEngine:
         if cached is not None:
             return cached
         comp = self.full & ~ideal
+        below = self.p.below
         out = []
         # iterate over nonempty submasks of comp
         block = comp
         while block:
             merged = ideal | block
-            if all(
-                self.preds[b] & ~merged == 0
-                for b in _bits(block)
-            ):
+            if all(below[b] & ~merged == 0 for b in _bits(block)):
                 out.append(block)
             block = (block - 1) & comp
         out.sort()
@@ -156,23 +147,12 @@ class ChainEngine:
         return build(0, 0, sum(d))
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def mask_elements(mask):
-    return tuple(_bits(mask))
-
-
 def enumerate_order_surjections(p: LabeledPoset, ell, max_n=None):
     """All surjective maps P -> [ell] that weakly respect <_P.
 
     Strict edges impose no strict inequality here; deterministic order.
     """
-    check_size_guard(p, max_n)
+    check_size_guard(p.n, max_n)
     if not 1 <= ell <= p.n:
         raise ValueError(f"ell must be in 1..{p.n}")
     out = [
@@ -201,7 +181,7 @@ def monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     These are the chains whose blocks hold no strict pair, so the fold
     gives each block the value 1 if it holds none, else 0.
     """
-    check_size_guard(p, max_n)
+    check_size_guard(p.n, max_n)
     strict = [(1 << a) | (1 << b) for a, b in p.strict_pairs]
 
     def no_strict_pair(block):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qmn import identities, mn, schur
+from qmn import identities, mn, posets, schur
 from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main
 from qmn.posets import random_poset
 from qmn.qsym import QsymExpr
@@ -210,6 +210,43 @@ def test_guard_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QMN_MAX_N", "11")
     code, _ = run(capsys, "expand", "--poset", str(big))
     assert code == EXIT_OK
+
+
+def test_huge_n_in_a_poset_file_is_an_input_error(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**18, "covers": [], "labels": [1], "weights": [1]}))
+    code, _ = run(capsys, "verify", "--poset", str(huge))
+    assert code == EXIT_INPUT
+
+
+def test_guard_refuses_before_partitions_shapes_or_closures(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("work ran before the size guard")
+
+    monkeypatch.setattr(schur, "partitions_of", refuse)
+    monkeypatch.setattr(schur, "shape_to_poset", refuse)
+    monkeypatch.setattr(posets, "_transitive_closure", refuse)
+    n = 5000
+    chain = tmp_path / "chain.json"
+    chain.write_text(
+        json.dumps(
+            {
+                "n": n,
+                "covers": [[i, i + 1] for i in range(n - 1)],
+                "labels": list(range(1, n + 1)),
+                "weights": [1] * n,
+            }
+        )
+    )
+    for argv in (
+        ("schur", "--n", "200"),
+        ("chi", "--lam", "5000", "--mu", "5000"),
+        ("expand", "--poset", str(chain)),
+        ("oracle", "--poset", str(chain)),
+        ("verify", "--poset", str(chain)),
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == EXIT_GUARD
 
 
 def test_identities_refuses_before_any_sum(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmn.posets import (
     LabeledPoset,
     PosetError,
     from_covers,
+    from_json_dict,
     induced_subposet,
     is_naturally_labeled,
     natural_relabeling,
@@ -144,3 +146,121 @@ def test_json_roundtrip(tmp_path, weighted_strip):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(weighted_strip.to_json_dict()))
     assert load_poset(path) == weighted_strip
+
+
+def test_huge_n_refused_before_labels_are_listed():
+    with pytest.raises(PosetError, match="labels must be a permutation"):
+        from_covers(10**18, [], [1], [1])
+
+
+def _closure(relation):
+    """Pair-based transitive closure by repeated composition."""
+    closure = set(relation)
+    while True:
+        new = {(a, c) for a, b in closure for b2, c in closure if b == b2} - closure
+        if not new:
+            return frozenset(closure)
+        closure |= new
+
+
+def _reduction(less, elements):
+    """Pair-based Hasse edges of the subposet on `elements`."""
+    inside = {(a, b) for a, b in less if a in elements and b in elements}
+    return {
+        (a, b) for a, b in inside if not any((a, c) in inside and (c, b) in inside for c in elements)
+    }
+
+
+def _order_error(relation):
+    """The message LabeledPoset owes a relation: defects of irreflexivity or
+    asymmetry come before a defect of transitivity."""
+    if any(a == b or (b, a) in relation for a, b in relation):
+        return "relation is not a strict partial order"
+    if any((a, c) not in relation for a, b in relation for b2, c in relation if b == b2):
+        return "relation is not transitively closed"
+    return None
+
+
+def _cycle_element(n, pairs):
+    """The element a depth-first cycle search names: the first self-loop in
+    pair order, else the smallest element on a cycle, else None."""
+    loops = [a for a, b in pairs if a == b]
+    if loops:
+        return loops[0]
+    closure = _closure(pairs)
+    return next((x for x in range(n) if (x, x) in closure), None)
+
+
+def _relations():
+    """Every relation on n <= 3 elements, self-loops included, and every
+    relation without self-loops on 4 elements."""
+    for n in range(1, 5):
+        cells = [(a, b) for a in range(n) for b in range(n) if n < 4 or a != b]
+        for chosen in range(1 << len(cells)):
+            yield n, [cell for i, cell in enumerate(cells) if chosen >> i & 1]
+
+
+def test_order_masks_match_pair_based_reference():
+    for n, relation in _relations():
+        omega, d = tuple(range(n, 0, -1)), (1,) * n
+        message = _order_error(set(relation))
+        if message is None:
+            LabeledPoset(n, frozenset(relation), omega, d)
+        else:
+            with pytest.raises(PosetError, match=f"^{message}$"):
+                LabeledPoset(n, frozenset(relation), omega, d)
+        cycle = _cycle_element(n, relation)
+        if cycle is not None:
+            with pytest.raises(PosetError, match=f"^cycle detected at element {cycle}$"):
+                from_covers(n, relation, omega, d)
+            continue
+        p = from_covers(n, relation, omega, d)
+        less = _closure(relation)
+        assert p.less == less
+        assert p.below == tuple(sum(1 << a for a, c in less if c == b) for b in range(n))
+        assert p.covers == sorted(_reduction(less, range(n)))
+        for mask in range(1, 1 << n):
+            elements = [x for x in range(n) if mask >> x & 1]
+            edges = {
+                (a, b) for b, lower in p.lower_covers(mask) for a in range(n) if lower >> a & 1
+            }
+            assert edges == _reduction(less, elements)
+
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _poset_json(draw):
+    """A well-formed poset on at most 5 elements, then up to two fields
+    replaced by junk or an enormous count, or dropped."""
+    n = draw(st.integers(1, 5))
+    pairs = st.lists(st.integers(-1, n), min_size=2, max_size=2)
+    data = {
+        "n": n,
+        "covers": draw(st.lists(pairs, max_size=8)),
+        "labels": draw(st.permutations(range(1, n + 1))),
+        "weights": draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(data)), unique=True, max_size=2)):
+        if draw(st.booleans()):
+            data[key] = draw(_junk | st.just(10**18) | st.lists(pairs | _junk, max_size=4))
+        else:
+            del data[key]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poset_json() | _junk)
+def test_from_json_dict_returns_a_poset_or_raises_poset_error(data):
+    try:
+        p = from_json_dict(data)
+    except PosetError:
+        return
+    assert isinstance(p, LabeledPoset)
+    assert from_covers(p.n, p.covers, p.omega, p.d) == p
