@@ -6,11 +6,13 @@ when omega(a) > omega(b), otherwise weak (natural).  Each element carries
 a positive integer weight.
 
 This is the one module that turns the order relation into bitmasks over
-elements: `LabeledPoset.below` holds each element's predecessors, and
-`LabeledPoset.lower_covers` is the one Hasse routine, for the whole poset
-or the subposet on any mask.  Validation and the closure run on the same
-masks.  It also holds the size guard, which `load_poset` checks before a
-file's relation is closed.
+elements, and the one that checks or closes a relation: `_masks` checks
+each pair as it sets its bit.  `LabeledPoset.below` holds each element's
+predecessors, and `LabeledPoset.lower_covers` is the one Hasse routine,
+for the whole poset or the subposet on any mask.  Validation and the
+closure run on the same masks, and `from_covers` keeps the closure's.
+It also holds the size guard, which `load_poset` checks before a file's
+relation is closed.
 """
 
 from __future__ import annotations
@@ -43,17 +45,6 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_pairs(n, pairs):
-    """Every relation must be a pair of element indices in 0..n-1."""
-    for pair in pairs:
-        try:
-            a, b = pair
-        except (TypeError, ValueError):
-            raise PosetError(f"relation {pair!r} is not a pair") from None
-        if not (_is_int(a) and _is_int(b) and 0 <= a < n and 0 <= b < n):
-            raise PosetError(f"pair ({a},{b}) references invalid elements")
-
-
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -65,16 +56,29 @@ def mask_elements(mask):
     return tuple(_bits(mask))
 
 
-def _transitive_closure(n, pairs):
-    """Reachability closure of the relation; raises PosetError on a cycle,
-    naming a self-loop in pair order, else the smallest element on a cycle."""
-    pairs = list(pairs)
-    _check_pairs(n, pairs)
+def _masks(n, pairs):
+    """below[b] is the mask of the a with (a, b) among the pairs.  Each pair
+    is checked as it becomes a bit: it must be two element indices in 0..n-1."""
     below = [0] * n
-    for a, b in pairs:
-        if a == b:
-            raise PosetError(f"cycle detected at element {a}")
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise PosetError(f"relation {pair!r} is not a pair") from None
+        if not (_is_int(a) and _is_int(b) and 0 <= a < n and 0 <= b < n):
+            raise PosetError(f"pair ({a},{b}) references invalid elements")
         below[b] |= 1 << a
+    return below
+
+
+def _transitive_closure(n, pairs):
+    """Predecessor masks of the reachability closure of the list `pairs`;
+    raises PosetError on a cycle, naming a self-loop in pair order, else the
+    smallest element on a cycle."""
+    below = _masks(n, pairs)
+    if any(below[x] >> x & 1 for x in range(n)):
+        loop = next(a for a, b in pairs if a == b)
+        raise PosetError(f"cycle detected at element {loop}")
     for k in range(n):  # Warshall: admit k as an intermediate element
         for x in range(n):
             if below[x] >> k & 1:
@@ -82,7 +86,7 @@ def _transitive_closure(n, pairs):
     for x in range(n):
         if below[x] >> x & 1:
             raise PosetError(f"cycle detected at element {x}")
-    return frozenset((a, b) for b in range(n) for a in _bits(below[b]))
+    return tuple(below)
 
 
 @dataclass(frozen=True)
@@ -109,22 +113,19 @@ class LabeledPoset:
             raise PosetError(f"labels must be a permutation of 1..{self.n}: {self.omega}")
         if len(self.d) != self.n or not all(_is_int(w) and w >= 1 for w in self.d):
             raise PosetError(f"weights must be positive integers: {self.d}")
-        _check_pairs(self.n, self.less)
         below, closed = self.below, True
-        for a, b in self.less:
-            if a == b or below[a] >> b & 1:
-                raise PosetError("relation is not a strict partial order")
-            closed = closed and not below[a] & ~below[b]
+        for b in range(self.n):
+            for a in _bits(below[b]):
+                if a == b or below[a] >> b & 1:
+                    raise PosetError("relation is not a strict partial order")
+                closed = closed and not below[a] & ~below[b]
         if not closed:
             raise PosetError("relation is not transitively closed")
 
     @cached_property
     def below(self):
         """below[b] is the mask of the elements a <_P b."""
-        below = [0] * self.n
-        for a, b in self.less:
-            below[b] |= 1 << a
-        return tuple(below)
+        return tuple(_masks(self.n, self.less))
 
     def lower_covers(self, mask):
         """Pairs (b, C) for the elements b of `mask` in increasing order, with
@@ -173,14 +174,24 @@ def _unclosed(n, covers, omega, d):
     return LabeledPoset(n, frozenset(), omega, d), covers
 
 
+def _closed(p, pairs):
+    """The poset p, which has no relations, ordered by the closure of the
+    list `pairs`.  The closure checks each pair and yields a strict partial
+    order, so its masks are kept as `below` and not validated again."""
+    below = _transitive_closure(p.n, pairs)
+    less = frozenset((a, b) for b in range(p.n) for a in _bits(below[b]))
+    closed = object.__new__(LabeledPoset)  # bypasses the frozen __init__
+    vars(closed).update(n=p.n, less=less, omega=p.omega, d=p.d, below=below)
+    return closed
+
+
 def from_covers(n, covers, omega, d) -> LabeledPoset:
     """Build a poset from any generating set of relations.
 
     Redundant pairs are absorbed by re-deriving the transitive reduction;
     cycles are rejected.
     """
-    p, covers = _unclosed(n, covers, omega, d)
-    return replace(p, less=_transitive_closure(n, covers))
+    return _closed(*_unclosed(n, covers, omega, d))
 
 
 def _json_fields(data):
@@ -202,9 +213,11 @@ def load_poset(path, max_n=None) -> LabeledPoset:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PosetError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError:
+            raise PosetError(f"JSON in {path} is nested too deeply") from None
     p, covers = _unclosed(*_json_fields(data))
     check_size_guard(p.n, max_n)
-    return replace(p, less=_transitive_closure(p.n, covers))
+    return _closed(p, covers)
 
 
 def is_naturally_labeled(p: LabeledPoset) -> bool:

@@ -8,13 +8,14 @@ combine to the original one:
 
 Iterating the two rewrites reduces any weighted labeled poset to a signed
 combination of naturally labeled weighted chains.
+
+Each rewrite names only the pairs it adds to the relation it starts from;
+`posets.from_covers` checks them and closes the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .posets import LabeledPoset, PosetError, check_size_guard
+from .posets import LabeledPoset, PosetError, check_size_guard, from_covers
 
 
 def add_edge_pair(p: LabeledPoset, a, b):
@@ -27,14 +28,7 @@ def add_edge_pair(p: LabeledPoset, a, b):
         raise PosetError(f"elements {a} and {b} are not incomparable")
     if p.omega[a] > p.omega[b]:
         a, b = b, a
-    return _with_relation(p, a, b), _with_relation(p, b, a)
-
-
-def _with_relation(p: LabeledPoset, lo, hi) -> LabeledPoset:
-    down = {x for x in range(p.n) if (x, lo) in p.less} | {lo}
-    up = {y for y in range(p.n) if (hi, y) in p.less} | {hi}
-    new = frozenset(p.less | {(x, y) for x in down for y in up})
-    return replace(p, less=new)
+    return tuple(from_covers(p.n, [*p.less, edge], p.omega, p.d) for edge in ((a, b), (b, a)))
 
 
 def split_weight(p: LabeledPoset, a, d1, d2):
@@ -48,15 +42,8 @@ def split_weight(p: LabeledPoset, a, d1, d2):
     """
     if d1 < 1 or d2 < 1 or d1 + d2 != p.d[a]:
         raise PosetError(f"weights {d1}+{d2} must sum to d({a}) = {p.d[a]}")
-    n = p.n
-    plus = n
-    pairs = set(p.less)
-    for x, y in p.less:
-        if y == a:
-            pairs.add((x, plus))
-        if x == a:
-            pairs.add((plus, y))
-    pairs.add((a, plus))
+    n = p.n  # the index of a_+
+    pairs = [*p.less, (a, n), *((n, y) for x, y in p.less if x == a)]
     i = p.omega[a]
     base = [lab if lab < i else lab + 1 for lab in p.omega]
     omega_weak = base[:]
@@ -68,9 +55,7 @@ def split_weight(p: LabeledPoset, a, d1, d2):
     d = list(p.d)
     d[a] = d1
     d.append(d2)
-    p_prime = LabeledPoset(n + 1, frozenset(pairs), tuple(omega_weak), tuple(d))
-    p_doubleprime = LabeledPoset(n + 1, frozenset(pairs), tuple(omega_strict), tuple(d))
-    return p_prime, p_doubleprime
+    return tuple(from_covers(n + 1, pairs, omega, d) for omega in (omega_weak, omega_strict))
 
 
 def chain_from_marks(marks, weights) -> LabeledPoset:
@@ -91,8 +76,7 @@ def chain_from_marks(marks, weights) -> LabeledPoset:
     omega = [0] * n
     for rank, k in enumerate(keys, start=1):
         omega[k] = rank
-    less = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-    return LabeledPoset(n, less, tuple(omega), tuple(weights))
+    return from_covers(n, [(i, i + 1) for i in range(n - 1)], omega, weights)
 
 
 def _as_chain(p: LabeledPoset):

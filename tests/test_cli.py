@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -7,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmn import identities, mn, posets, schur
 from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main
+from qmn.compositions import partitions_of
 from qmn.posets import random_poset
 from qmn.qsym import QsymExpr
+from tests.test_posets import _poset_json
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 STRIP = str(DATA / "weighted_strip.json")
@@ -219,6 +224,15 @@ def test_huge_n_in_a_poset_file_is_an_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_a_deeply_nested_poset_file_is_an_input_error(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("expand", "oracle", "verify"):
+        code = main([command, "--poset", str(nested)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: JSON in {nested} is nested too deeply\n"
+
+
 def test_guard_refuses_before_partitions_shapes_or_closures(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("work ran before the size guard")
@@ -292,3 +306,81 @@ def test_identities_factorial_guard_follows_the_digit_limit(capsys, str_digits):
     str_digits(0)  # no limit
     code, out = run(capsys, "identities", "--d", "2000")
     assert code == EXIT_OK and f"linext_rhs\t{math.factorial(2000)}" in out
+
+
+def _text(parts):
+    return ",".join(map(str, parts))
+
+
+_composition = st.lists(st.integers(1, 5), min_size=1, max_size=5).map(_text) | st.sampled_from(
+    ["", ",", "0", "1,,2", "x", "-1", "1.5"]
+)
+
+# two partitions of the same size, so that chi gets past its input checks
+_partition_pair = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.sampled_from(partitions_of(k)).map(_text), min_size=2, max_size=2)
+)
+
+_poset_file = st.one_of(
+    _poset_json().map(json.dumps),
+    st.builds(random_poset, st.integers(1, 5), st.just(Fraction(1, 2)), st.integers(0, 99)).map(
+        lambda p: json.dumps(p.to_json_dict())
+    ),
+    st.just("[" * 100_000 + "]" * 100_000),
+    st.sampled_from(["", "{", "null", "[]"]),
+    st.none(),  # no file at all
+)
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), unique=True)
+
+
+def _command_args(poset):
+    """One strategy per subcommand for the arguments after its name, with every
+    size below the guards: at most 5 elements, parts or --n-max, count <= 3."""
+    return {
+        "expand": st.tuples(
+            st.just(["--poset", poset]),
+            st.sampled_from([[], ["--basis=M"], ["--basis=Psi"], ["--basis=PsiHat"]]),
+            _flags("--json"),
+        ),
+        "oracle": st.tuples(st.just(["--poset", poset]), _flags("--json")),
+        "verify": st.tuples(st.just(["--poset", poset]), _flags("--selftest-corrupt")),
+        "schur": st.tuples(st.integers(-1, 5).map(lambda n: [f"--n={n}"]), _flags("--json")),
+        "chi": (_partition_pair | st.lists(_composition, min_size=2, max_size=2)).map(
+            lambda lam_mu: ([f"--lam={lam_mu[0]}", f"--mu={lam_mu[1]}"],)
+        ),
+        "identities": st.tuples(
+            _composition.map(lambda d: [f"--d={d}"]),
+            st.integers(-1, 20).map(lambda k: [f"--samples={k}"]),
+            st.integers(0, 9).map(lambda seed: [f"--seed={seed}"]),
+            _flags("--json"),
+        ),
+        "random-check": st.tuples(
+            st.integers(0, 3).map(lambda k: [f"--count={k}"]),
+            st.integers(0, 5).map(lambda k: [f"--n-max={k}"]),
+            st.integers(0, 9).map(lambda seed: [f"--seed={seed}"]),
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def poset_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "poset.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), content=_poset_file, max_n=st.none() | st.integers(-1, 6))
+def test_every_command_ends_in_an_exit_code(poset_path, data, content, max_n):
+    if content is None:
+        poset_path.unlink(missing_ok=True)
+    else:
+        poset_path.write_text(content)
+    commands = _command_args(str(poset_path))
+    command = data.draw(st.sampled_from(sorted(commands)))
+    argv = [] if max_n is None else [f"--max-n={max_n}"]
+    argv += [command, *(arg for args in data.draw(commands[command]) for arg in args)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_GUARD), argv

@@ -21,7 +21,14 @@ from qmn.mn import (
     rooted_surjections,
     strip_data,
 )
-from qmn.posets import LabeledPoset, from_covers, induced_subposet, natural_relabeling, random_poset
+from qmn.posets import (
+    LabeledPoset,
+    from_covers,
+    induced_subposet,
+    is_naturally_labeled,
+    natural_relabeling,
+    random_poset,
+)
 from qmn.qsym import QsymExpr, equals, psi_to_monomial
 from qmn.surjections import ChainEngine, mask_elements, monomial_expansion
 from tests.conftest import DATA, budgeted_random_poset
@@ -193,3 +200,26 @@ def test_every_composition_sums_to_the_total_weight(cross_check_posets):
         for expand in EXPANSIONS:
             terms = expand(p).terms
             assert terms and all(sum(alpha) == sum(p.d) for alpha in terms), p.to_json_dict()
+
+
+def _largest_first_labeling(p) -> tuple:
+    """The natural labeling read off the linear extension that takes the
+    largest available element first (topological_order takes the smallest)."""
+    done, omega = 0, [0] * p.n
+    for rank in range(1, p.n + 1):
+        x = max(x for x in range(p.n) if not done >> x & 1 and not p.below[x] & ~done)
+        done |= 1 << x
+        omega[x] = rank
+    return tuple(omega)
+
+
+def test_a_second_natural_labeling_leaves_the_expansions_unchanged(cross_check_posets):
+    changed = 0
+    for p in cross_check_posets:
+        natural = natural_relabeling(p)
+        other = LabeledPoset(p.n, p.less, _largest_first_labeling(p), p.d)
+        assert is_naturally_labeled(other)
+        changed += other.omega != natural.omega
+        for expand in (natural_mn_expansion, monomial_expansion):
+            assert expand(other) == expand(natural), (expand.__name__, p.to_json_dict())
+    assert changed > len(cross_check_posets) // 2

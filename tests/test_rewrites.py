@@ -81,6 +81,61 @@ def test_split_weight_identity_random():
         assert mn_expansion(weak) - mn_expansion(strict) == mn_expansion(p)
 
 
+def _down_up(p, lo, hi):
+    """Pair-based reference: p.less with down(lo) x up(hi) added."""
+    down = {x for x in range(p.n) if (x, lo) in p.less} | {lo}
+    up = {y for y in range(p.n) if (hi, y) in p.less} | {hi}
+    return p.less | {(x, y) for x in down for y in up}
+
+
+def _split_relation(p, a):
+    """Pair-based reference: the new vertex n sits just above a, below every
+    element above a and above every element below a."""
+    n = p.n
+    return (
+        p.less
+        | {(a, n)}
+        | {(x, n) for x, y in p.less if y == a}
+        | {(n, y) for x, y in p.less if x == a}
+    )
+
+
+def _split_labels(p, a):
+    """The weak and strict labelings of a split at a: labels above omega(a)
+    move up one, and a and the new vertex take omega(a) and omega(a) + 1."""
+    i = p.omega[a]
+    shifted = tuple(lab + (lab > i) for lab in p.omega)
+    return shifted + (i + 1,), shifted[:a] + (i + 1,) + shifted[a + 1:] + (i,)
+
+
+def test_rewrites_match_pair_based_references(cross_check_posets):
+    for p in cross_check_posets:
+        for a, b in incomparable_pairs(p):
+            lo, hi = (a, b) if p.omega[a] < p.omega[b] else (b, a)
+            weak, strict = add_edge_pair(p, a, b)
+            assert (weak.less, weak.omega, weak.d) == (_down_up(p, lo, hi), p.omega, p.d)
+            assert (strict.less, strict.omega, strict.d) == (_down_up(p, hi, lo), p.omega, p.d)
+        for a in range(p.n):
+            for d1 in range(1, p.d[a]):
+                d = p.d[:a] + (d1,) + p.d[a + 1:] + (p.d[a] - d1,)
+                weak, strict = split_weight(p, a, d1, p.d[a] - d1)
+                omega_weak, omega_strict = _split_labels(p, a)
+                less = _split_relation(p, a)
+                assert (weak.n, weak.less, weak.omega, weak.d) == (p.n + 1, less, omega_weak, d)
+                assert (strict.n, strict.less, strict.omega, strict.d) == (
+                    p.n + 1, less, omega_strict, d
+                )
+
+
+def test_chain_from_marks_relates_every_pair_in_order():
+    for n in range(1, 7):
+        for pattern in range(1 << (n - 1)):
+            marks = [bool(pattern >> k & 1) for k in range(n - 1)]
+            chain = chain_from_marks(marks, [1] * n)
+            assert chain.less == {(i, j) for i in range(n) for j in range(i + 1, n)}
+            assert [chain.edge_is_strict(k, k + 1) for k in range(n - 1)] == marks
+
+
 def test_split_weight_rejects_bad_parts():
     p = from_covers(1, [], [1], [3])
     with pytest.raises(PosetError):
