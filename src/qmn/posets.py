@@ -10,9 +10,8 @@ elements, and the one that checks or closes a relation: `_masks` checks
 each pair as it sets its bit.  `LabeledPoset.below` holds each element's
 predecessors, and `LabeledPoset.lower_covers` is the one Hasse routine,
 for the whole poset or the subposet on any mask.  Validation and the
-closure run on the same masks, and `from_covers` keeps the closure's.
-It also holds the size guard, which `load_poset` checks before a file's
-relation is closed.
+closure run on the same masks.  It also holds the size guard, which
+`load_poset` checks before a file's relation is closed.
 """
 
 from __future__ import annotations
@@ -72,9 +71,9 @@ def _masks(n, pairs):
 
 
 def _transitive_closure(n, pairs):
-    """Predecessor masks of the reachability closure of the list `pairs`;
-    raises PosetError on a cycle, naming a self-loop in pair order, else the
-    smallest element on a cycle."""
+    """Reachability closure of the list `pairs`; raises PosetError on a
+    cycle, naming a self-loop in pair order, else the smallest element on a
+    cycle."""
     below = _masks(n, pairs)
     if any(below[x] >> x & 1 for x in range(n)):
         loop = next(a for a, b in pairs if a == b)
@@ -86,7 +85,7 @@ def _transitive_closure(n, pairs):
     for x in range(n):
         if below[x] >> x & 1:
             raise PosetError(f"cycle detected at element {x}")
-    return tuple(below)
+    return frozenset((a, b) for b in range(n) for a in _bits(below[b]))
 
 
 @dataclass(frozen=True)
@@ -174,24 +173,14 @@ def _unclosed(n, covers, omega, d):
     return LabeledPoset(n, frozenset(), omega, d), covers
 
 
-def _closed(p, pairs):
-    """The poset p, which has no relations, ordered by the closure of the
-    list `pairs`.  The closure checks each pair and yields a strict partial
-    order, so its masks are kept as `below` and not validated again."""
-    below = _transitive_closure(p.n, pairs)
-    less = frozenset((a, b) for b in range(p.n) for a in _bits(below[b]))
-    closed = object.__new__(LabeledPoset)  # bypasses the frozen __init__
-    vars(closed).update(n=p.n, less=less, omega=p.omega, d=p.d, below=below)
-    return closed
-
-
 def from_covers(n, covers, omega, d) -> LabeledPoset:
     """Build a poset from any generating set of relations.
 
     Redundant pairs are absorbed by re-deriving the transitive reduction;
     cycles are rejected.
     """
-    return _closed(*_unclosed(n, covers, omega, d))
+    p, covers = _unclosed(n, covers, omega, d)
+    return replace(p, less=_transitive_closure(n, covers))
 
 
 def _json_fields(data):
@@ -217,7 +206,7 @@ def load_poset(path, max_n=None) -> LabeledPoset:
             raise PosetError(f"JSON in {path} is nested too deeply") from None
     p, covers = _unclosed(*_json_fields(data))
     check_size_guard(p.n, max_n)
-    return _closed(p, covers)
+    return replace(p, less=_transitive_closure(p.n, covers))
 
 
 def is_naturally_labeled(p: LabeledPoset) -> bool:
@@ -240,6 +229,11 @@ def natural_relabeling(p: LabeledPoset) -> LabeledPoset:
     omega = [0] * p.n
     for rank, x in enumerate(topological_order(p), start=1):
         omega[x] = rank
+    return relabeled(p, omega)
+
+
+def relabeled(p: LabeledPoset, omega) -> LabeledPoset:
+    """The poset p with the labeling omega; its order and weights are kept."""
     return replace(p, omega=tuple(omega))
 
 

@@ -10,12 +10,14 @@ Iterating the two rewrites reduces any weighted labeled poset to a signed
 combination of naturally labeled weighted chains.
 
 Each rewrite names only the pairs it adds to the relation it starts from;
-`posets.from_covers` checks them and closes the result.
+`posets.from_covers` checks them and closes the result.  The two halves
+of a weight split share one closed relation, relabeled by
+`posets.relabeled`.
 """
 
 from __future__ import annotations
 
-from .posets import LabeledPoset, PosetError, check_size_guard, from_covers
+from .posets import LabeledPoset, PosetError, check_size_guard, from_covers, relabeled
 
 
 def add_edge_pair(p: LabeledPoset, a, b):
@@ -55,7 +57,8 @@ def split_weight(p: LabeledPoset, a, d1, d2):
     d = list(p.d)
     d[a] = d1
     d.append(d2)
-    return tuple(from_covers(n + 1, pairs, omega, d) for omega in (omega_weak, omega_strict))
+    weak = from_covers(n + 1, pairs, omega_weak, d)
+    return weak, relabeled(weak, omega_strict)
 
 
 def chain_from_marks(marks, weights) -> LabeledPoset:
