@@ -70,6 +70,11 @@ def _verify_poset(poset, max_n, corrupt=False):
         alpha = next(iter(sorted(bumped)), (1,))
         bumped[alpha] = bumped.get(alpha, Fraction(0)) + 1
         via_mn = QsymExpr("M", bumped)
+    return _compare(via_mn, oracle)
+
+
+def _compare(via_mn, oracle):
+    """(ok, first difference or None) between the rule and the oracle, both in M."""
     for alpha in sorted(set(via_mn.terms) | set(oracle.terms)):
         a = via_mn.coefficient(alpha)
         b = oracle.coefficient(alpha)
@@ -174,27 +179,23 @@ def cmd_random_check(args) -> int:
         n = 1 + (i % args.n_max)
         seed = args.seed * 10**6 + i
         poset = random_poset(n, Fraction(1, 2), seed=seed)
-        ok, diff = _verify_poset(poset, max_n)
+        oracle = surjections.monomial_expansion(poset, max_n=max_n)
+        ok, diff = _compare(mn.mn_monomial_expansion(poset, max_n=max_n), oracle)
+        wholes = (oracle, mn.mn_expansion(poset, max_n=max_n))
         pair = rewrites.first_incomparable_pair(poset)
-        if pair is None:
-            edge = True
-        else:
-            p1, p2 = rewrites.add_edge_pair(poset, *pair)
-            edge = _check_rewrite(poset, p1, p2, operator.add, max_n)
+        edge = pair is None or _check_rewrite(
+            wholes, rewrites.add_edge_pair(poset, *pair), operator.add, max_n
+        )
         vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
-        if vertex is None or poset.n + 1 > max_n:
-            split = True
-        else:
-            p1, p2 = rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1)
-            split = _check_rewrite(poset, p1, p2, operator.sub, max_n)
+        split = vertex is None or poset.n + 1 > max_n or _check_rewrite(
+            wholes, rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1),
+            operator.sub, max_n
+        )
         main_ok += ok
         edge_ok += edge
         split_ok += split
         failed = [] if ok else [f"main ({_describe(diff)})"]
-        if not edge:
-            failed.append("addEdge")
-        if not split:
-            failed.append("splitWeight")
+        failed += [name for name, good in (("addEdge", edge), ("splitWeight", split)) if not good]
         if failed:
             # random_poset(n, 1/2, seed=seed) rebuilds the poset
             print(f"FAIL: poset seed {seed}, n {n}: {', '.join(failed)}", file=sys.stderr)
@@ -206,13 +207,13 @@ def cmd_random_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _check_rewrite(poset, p1, p2, combine, max_n) -> bool:
-    """Whether the oracle and the rule each give combine(K(p1), K(p2)) == K(poset)."""
-    for expand in (surjections.monomial_expansion, mn.mn_expansion):
-        whole = expand(poset, max_n=max_n)
-        if whole != combine(expand(p1, max_n=max_n), expand(p2, max_n=max_n)):
-            return False
-    return True
+def _check_rewrite(wholes, parts, combine, max_n) -> bool:
+    """Whether K(P) == combine(K(p1), K(p2)) in both the oracle and the rule,
+    for parts = (p1, p2) and wholes = (the oracle's K(P), the rule's K(P))."""
+    return all(
+        whole == combine(*(expand(q, max_n=max_n) for q in parts))
+        for expand, whole in zip((surjections.monomial_expansion, mn.mn_expansion), wholes)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

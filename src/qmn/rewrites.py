@@ -17,7 +17,14 @@ of a weight split share one closed relation, relabeled by
 
 from __future__ import annotations
 
-from .posets import LabeledPoset, PosetError, check_size_guard, from_covers, relabeled
+from .posets import (
+    LabeledPoset,
+    PosetError,
+    check_size_guard,
+    from_covers,
+    relabeled,
+    topological_order,
+)
 
 
 def add_edge_pair(p: LabeledPoset, a, b):
@@ -84,11 +91,8 @@ def chain_from_marks(marks, weights) -> LabeledPoset:
 
 def _as_chain(p: LabeledPoset):
     """Bottom-to-top element order if p is totally ordered, else None."""
-    order = sorted(range(p.n), key=lambda x: p.below[x].bit_count())
-    for i in range(p.n - 1):
-        if (order[i], order[i + 1]) not in p.less:
-            return None
-    return order
+    order = topological_order(p)
+    return order if all(pair in p.less for pair in zip(order, order[1:])) else None
 
 
 def first_incomparable_pair(p: LabeledPoset):

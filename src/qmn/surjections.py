@@ -13,8 +13,8 @@ value they give each block.  The fold can carry a small value per ideal
 along the chain; `mn` uses it to write the rule in the monomial basis
 while it walks.  `ChainEngine.chains` lists the chains one by one for the
 explicit enumerators, which tests compare the fold against.  Bitmasks
-over elements keep this fast; ideals are tested against the predecessor
-masks `LabeledPoset.below`.
+over elements keep this fast; the blocks above an ideal are built along
+one linear extension, in time proportional to n times their number.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .posets import (  # DEFAULT_MAX_N and PosetTooLarge are re-exported
     _bits,
     check_size_guard,
     mask_elements,
+    topological_order,
 )
 from .qsym import QsymExpr
 
@@ -58,35 +59,28 @@ def _surjection_from_chain(p: LabeledPoset, chain) -> OrderSurjection:
 
 
 class ChainEngine:
-    """The lattice of order ideals of one poset, with memoized successors.
+    """The lattice of order ideals of one poset.
 
     A surjection is a chain of ideals, so every expansion is a sum over
     chains of a product of block values; `fold` computes it per ideal.
+    The successors of an ideal are built along one linear extension, in
+    time proportional to n times their number.
     """
 
     def __init__(self, p: LabeledPoset):
         self.p = p
         self.full = (1 << p.n) - 1
-        self._succ = {}
+        self._order = topological_order(p)
 
     def successors(self, ideal):
-        """All nonempty blocks B such that ideal | B is again an ideal."""
-        cached = self._succ.get(ideal)
-        if cached is not None:
-            return cached
-        comp = self.full & ~ideal
+        """The sorted nonempty blocks B with ideal | B again an ideal.  Along a
+        linear extension, x joins each block b so far when all below x is in ideal | b."""
         below = self.p.below
-        out = []
-        # iterate over nonempty submasks of comp
-        block = comp
-        while block:
-            merged = ideal | block
-            if all(below[b] & ~merged == 0 for b in _bits(block)):
-                out.append(block)
-            block = (block - 1) & comp
-        out.sort()
-        self._succ[ideal] = out
-        return out
+        out = [0]
+        for x in self._order:
+            if not ideal >> x & 1:
+                out += [b | 1 << x for b in out if not below[x] & ~(ideal | b)]
+        return sorted(out[1:])
 
     def chains(self):
         """Yield all chains of blocks partitioning P (as mask tuples)."""

@@ -1,12 +1,15 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from qmn.compositions import coarsenings
+from qmn.compositions import coarsenings, partitions_of
 from qmn.posets import from_covers, natural_relabeling, random_poset
 from qmn.qsym import QsymExpr
+from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import (
+    ChainEngine,
     PosetTooLarge,
     enumerate_order_surjections,
     enumerate_partition_surjections,
@@ -96,3 +99,28 @@ def test_fold_matches_explicit_enumeration(cross_check_posets):
             f.wtd for ell in range(1, p.n + 1) for f in enumerate_partition_surjections(p, ell)
         )
         assert monomial_expansion(p) == QsymExpr("M", explicit), p.to_json_dict()
+
+
+def _successors_by_pairs(p, ideal):
+    """The sorted nonempty B outside the ideal with ideal | B closed under p.less."""
+    inside = {x for x in range(p.n) if ideal >> x & 1}
+    rest = [x for x in range(p.n) if x not in inside]
+    out = []
+    for k in range(1, len(rest) + 1):
+        for block in combinations(rest, k):
+            union = inside | set(block)
+            if all(a in union for a, b in p.less if b in union):
+                out.append(sum(1 << x for x in block))
+    return sorted(out)
+
+
+def test_successors_match_the_definition(cross_check_posets):
+    shapes = [shape_to_poset(SkewShape(lam)) for k in range(1, 8) for lam in partitions_of(k)]
+    chain = from_covers(10, [(i, i + 1) for i in range(9)], list(range(1, 11)), [1] * 10)
+    antichain = from_covers(8, [], list(range(1, 9)), [1] * 8)
+    for p in cross_check_posets + shapes + [chain, antichain]:
+        engine = ChainEngine(p)
+        # every ideal is a successor block of the empty ideal
+        for ideal in [0] + _successors_by_pairs(p, 0):
+            expected = _successors_by_pairs(p, ideal)
+            assert engine.successors(ideal) == expected, (p.to_json_dict(), ideal)
