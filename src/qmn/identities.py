@@ -38,7 +38,7 @@ from .compositions import check_composition, coarsening_blocks
 
 @dataclass(frozen=True)
 class QPolynomial:
-    """Dense integer polynomial in q; index = power."""
+    """Dense integer polynomial in q with nonnegative coefficients; index = power."""
 
     coeffs: tuple
 
@@ -56,14 +56,15 @@ class QPolynomial:
         )
 
     def __mul__(self, other):
+        """Product as one integer product (Kronecker substitution
+        q = 256^width, wide enough that no coefficient of the product
+        carries into the next)."""
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return QPolynomial(tuple(out))
+        width = (min(len(a), len(b)) * max(a) * max(b)).bit_length() // 8 + 1
+        product = _pack(a, width) * _pack(b, width)
+        return QPolynomial(_unpack(product, width, len(a) + len(b) - 1))
 
     def shifted(self, power):
         """Multiply by q^power."""
@@ -73,6 +74,17 @@ class QPolynomial:
 
     def __call__(self, value):
         return sum(c * Fraction(value) ** i for i, c in enumerate(self.coeffs))
+
+
+def _pack(coeffs, width):
+    """The value at q = 256^width of nonnegative coefficients below 256^width."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+
+def _unpack(value, width, length):
+    """The `length` coefficients that _pack(coeffs, width) turned into value."""
+    raw = value.to_bytes(length * width, "little")
+    return tuple(int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
 
 
 ONE = QPolynomial((1,))

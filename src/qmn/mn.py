@@ -13,7 +13,10 @@ traversal of the ideal lattice, with the block value sign * d(root); the
 oracle in `surjections` runs on the same fold with another block value.
 `mn_monomial_expansion` gives the rule in the monomial basis from the same
 fold, carrying the sum of the open run of parts, so no PsiHat term is
-ever converted on its own.
+ever converted on its own.  `mn_partition_expansion` keeps only the terms
+indexed by partitions, which is all a character table reads: its fold
+carries the previous block's weight and walks only the chains whose block
+weights weakly decrease, so a heavier block is refused before it is tagged.
 `block_strip_data` is the single tagger: it tags the block of a poset
 given by an element mask, and every strip query goes through it.  It reads
 the block's Hasse edges from `LabeledPoset.lower_covers`, the routine that
@@ -113,6 +116,26 @@ def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     """
     check_size_guard(p.n, max_n)
     return QsymExpr("PsiHat", ChainEngine(p).fold(lambda block: _block_contribution(p, block)))
+
+
+def _weakly_decreasing(s, w, rest):
+    """Fold step admitting a block only if its weight w is at most the
+    previous block's weight s (0 before the first block and after the last)."""
+    if s and w > s:
+        return ()
+    return ((w if rest else 0, 1, (w,)),)
+
+
+def mn_partition_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
+    """The terms of mn_expansion(p) whose composition is a partition.
+
+    The fold's coefficient of alpha sums over the chains whose block
+    weights spell alpha, so folding only the chains whose weights weakly
+    decrease drops exactly the compositions that are not partitions.
+    """
+    check_size_guard(p.n, max_n)
+    terms = ChainEngine(p).fold(lambda block: _block_contribution(p, block), _weakly_decreasing)
+    return QsymExpr("PsiHat", terms)
 
 
 def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:

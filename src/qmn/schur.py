@@ -5,7 +5,9 @@ one element per cell, weak edges along rows and strict edges down
 columns; its generating function is the (skew) Schur function.  The
 character value chi_lambda(mu) is then the PsiHat coefficient of any
 rearrangement of mu, and is independently computable through border
-strip tableaux.
+strip tableaux.  The character table reads only the coefficients at
+partitions, so it folds only the chains of blocks whose weights weakly
+decrease (`mn.mn_partition_expansion`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import check_partition, partitions_of, z
-from .mn import mn_expansion
+from .mn import mn_partition_expansion
 from .posets import LabeledPoset, check_size_guard, from_covers
 
 
@@ -74,7 +76,7 @@ def shape_to_poset(shape: SkewShape) -> LabeledPoset:
 
 @lru_cache(maxsize=None)
 def _schur_psihat_terms(lam, max_n):
-    return mn_expansion(shape_to_poset(SkewShape(lam)), max_n=max_n).terms
+    return mn_partition_expansion(shape_to_poset(SkewShape(lam)), max_n=max_n).terms
 
 
 def chi(lam, mu, max_n=None) -> int:

@@ -107,8 +107,10 @@ class ChainEngine:
         F(I, s) = sum over B and moves of value(B) * factor * (head + F(I | B, s')),
         and F(0, 0) is the answer.  Without a step, s stays 0 and every block
         adds the part wtd(B), so F(0, 0) maps each weighted level composition
-        to its sum of products (Stanley, EC1 3.4 and 4.7).  Values are
-        computed once per block mask; blocks valued 0 are pruned.
+        to its sum of products (Stanley, EC1 3.4 and 4.7).  A step that lists
+        no moves refuses the block.  A block is valued once per mask, the
+        first time one of its moves is used, so a block every step refuses is
+        never valued; blocks valued 0 are pruned.
         """
         d = self.p.d
         blocks = {}
@@ -123,13 +125,17 @@ class ChainEngine:
                 entry = blocks.get(block)
                 if entry is None:
                     w = sum(d[x] for x in _bits(block))
-                    entry = blocks[block] = (block_value(block), w, ((0, 1, (w,)),))
+                    entry = blocks[block] = [None, w, ((0, 1, (w,)),)]
                 value, w, moves = entry
-                if value == 0:
-                    continue
                 after = rest - w
                 if step is not None:
                     moves = step(s, w, after)
+                    if not moves:
+                        continue
+                if value is None:
+                    value = entry[0] = block_value(block)
+                if value == 0:
+                    continue
                 for carry, factor, head in moves:
                     scale = value * factor
                     for tail, coeff in build(ideal | block, carry, after).items():

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +90,25 @@ def test_identities_report(capsys):
     assert report["q_identity"] is True
     assert report["linext_lhs"] == report["linext_rhs"]
     assert sum(int(v.split("/")[0]) for v in report["monte_carlo"].values()) > 0
+
+
+def test_identities_cost_is_bounded_by_the_total_not_the_parts(capsys, monkeypatch):
+    # ten parts of 40 give a cleared q-polynomial of degree 2190 (sum of the prefix sums
+    # less 10), ten parts of 2 one of degree 100; both take the same polynomial products,
+    # and each product is one integer product of its two packed operands
+    counts = Counter()
+    mul, pack = identities.QPolynomial.__mul__, identities._pack
+    monkeypatch.setattr(identities.QPolynomial, "__mul__", lambda a, b: counts.update(["mul"]) or mul(a, b))
+    monkeypatch.setattr(identities, "_pack", lambda c, w: counts.update(["pack"]) or pack(c, w))
+    seen = {}
+    for part in ("2", "40"):
+        counts.clear()
+        code, out = run(capsys, "identities", "--d", ",".join([part] * 10), "--samples", "10")
+        assert code == EXIT_OK
+        assert "q_identity\tTrue" in out.splitlines()
+        seen[part] = dict(counts)
+    assert seen["40"] == seen["2"]
+    assert seen["40"]["pack"] == 2 * seen["40"]["mul"] > 0
 
 
 def _false_q_sums(d):

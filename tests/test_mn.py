@@ -8,6 +8,7 @@ import pytest
 
 from qmn.cli import main
 
+from qmn.compositions import partitions_of
 from qmn.mn import (
     TAG_MINUS,
     TAG_PLUS,
@@ -17,6 +18,7 @@ from qmn.mn import (
     is_gbs_via_hasse,
     mn_expansion,
     mn_monomial_expansion,
+    mn_partition_expansion,
     natural_mn_expansion,
     rooted_surjections,
     strip_data,
@@ -30,6 +32,7 @@ from qmn.posets import (
     random_poset,
 )
 from qmn.qsym import QsymExpr, equals, psi_to_monomial
+from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import ChainEngine, mask_elements, monomial_expansion
 from tests.conftest import DATA, budgeted_random_poset
 
@@ -149,6 +152,43 @@ def test_rule_fold_matches_rooted_surjections(cross_check_posets):
                 sd.sign * p.d[block[sd.root]] for block, sd in zip(f.blocks, data)
             )
         assert mn_expansion(p) == QsymExpr("PsiHat", explicit), p.to_json_dict()
+
+
+def test_partition_expansion_is_the_rule_at_partitions(cross_check_posets):
+    """Folding only chains of weakly decreasing block weights gives exactly
+    the terms of the full rule whose composition is a partition."""
+    shapes = [shape_to_poset(SkewShape(lam)) for n in range(1, 9) for lam in partitions_of(n)]
+    randoms = [
+        random_poset(seed % 8 + 1, density, seed=seed)
+        for density in (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+        for seed in range(12)
+    ]
+    for p in shapes + cross_check_posets + randoms:
+        full = mn_expansion(p).terms
+        at_partitions = {
+            alpha: c for alpha, c in full.items() if all(a >= b for a, b in zip(alpha, alpha[1:]))
+        }
+        assert mn_partition_expansion(p) == QsymExpr("PsiHat", at_partitions), p.to_json_dict()
+
+
+def test_fold_values_only_the_blocks_a_step_admits():
+    """A step that refuses every block of weight above 1 leaves every larger
+    block unvalued, and still counts the chains of singletons."""
+    for density, n in ((Fraction(0), 6), (Fraction(1, 5), 7)):
+        p = random_poset(n, density, seed=3)
+        p = LabeledPoset(n, p.less, p.omega, (1,) * n)
+        valued = []
+
+        def value(block):
+            valued.append(block)
+            return 1
+
+        def singletons_only(s, w, rest):
+            return ((0, 1, (w,)),) if w == 1 else ()
+
+        terms = ChainEngine(p).fold(value, singletons_only)
+        assert valued and all(block.bit_count() == 1 for block in valued)
+        assert terms == {(1,) * p.n: ChainEngine(p).fold(lambda block: 1)[(1,) * p.n]}
 
 
 def test_block_tagger_matches_induced_subposet(cross_check_posets):
