@@ -61,15 +61,10 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _verify_poset(poset, max_n, corrupt=False):
+def _verify_poset(poset, max_n):
     """Compare the two pipelines; returns (ok, first difference or None)."""
     via_mn = mn.mn_monomial_expansion(poset, max_n=max_n)
     oracle = surjections.monomial_expansion(poset, max_n=max_n)
-    if corrupt:
-        bumped = dict(via_mn.terms)
-        alpha = next(iter(sorted(bumped)), (1,))
-        bumped[alpha] = bumped.get(alpha, Fraction(0)) + 1
-        via_mn = QsymExpr("M", bumped)
     return _compare(via_mn, oracle)
 
 
@@ -90,7 +85,7 @@ def _describe(diff) -> str:
 
 def cmd_verify(args) -> int:
     poset = load_poset(args.poset, _max_n(args))
-    ok, diff = _verify_poset(poset, _max_n(args), corrupt=args.selftest_corrupt)
+    ok, diff = _verify_poset(poset, _max_n(args))
     if ok:
         print("PASS")
         return EXIT_OK
@@ -236,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="compare rule against the brute-force oracle")
     p_verify.add_argument("--poset", required=True)
-    p_verify.add_argument("--selftest-corrupt", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_schur = sub.add_parser("schur", help="character table for partitions of n")

@@ -72,9 +72,6 @@ class QPolynomial:
             return self
         return QPolynomial((0,) * power + self.coeffs)
 
-    def __call__(self, value):
-        return sum(c * Fraction(value) ** i for i, c in enumerate(self.coeffs))
-
 
 def _pack(coeffs, width):
     """The value at q = 256^width of nonnegative coefficients below 256^width."""

@@ -20,7 +20,8 @@ weights weakly decrease, so a heavier block is refused before it is tagged.
 `block_strip_data` is the single tagger: it tags the block of a poset
 given by an element mask, and every strip query goes through it.  It reads
 the block's Hasse edges from `LabeledPoset.lower_covers`, the routine that
-also gives the poset's own covers.
+also gives the poset's own covers.  Each expansion passes its `max_n` to
+`ChainEngine`, which checks the size guard when it is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .posets import LabeledPoset, _bits, check_size_guard, is_naturally_labeled, mask_elements
+from .posets import LabeledPoset, _bits, is_naturally_labeled, mask_elements
 from .qsym import QsymExpr
 from .surjections import ChainEngine, _surjection_from_chain
 
@@ -114,8 +115,8 @@ def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     product of block signs times root weights lands on PsiHat indexed by
     the weighted level composition.
     """
-    check_size_guard(p.n, max_n)
-    return QsymExpr("PsiHat", ChainEngine(p).fold(lambda block: _block_contribution(p, block)))
+    engine = ChainEngine(p, max_n)
+    return QsymExpr("PsiHat", engine.fold(lambda block: _block_contribution(p, block)))
 
 
 def _weakly_decreasing(s, w, rest):
@@ -133,8 +134,8 @@ def mn_partition_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     weights spell alpha, so folding only the chains whose weights weakly
     decrease drops exactly the compositions that are not partitions.
     """
-    check_size_guard(p.n, max_n)
-    terms = ChainEngine(p).fold(lambda block: _block_contribution(p, block), _weakly_decreasing)
+    engine = ChainEngine(p, max_n)
+    terms = engine.fold(lambda block: _block_contribution(p, block), _weakly_decreasing)
     return QsymExpr("PsiHat", terms)
 
 
@@ -150,7 +151,7 @@ def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     C(t + rest, t) * (t-1)! / s!, keeping open by (t-1)! / s!.  The sum is
     divided by (sum of d)! once, at the end.
     """
-    check_size_guard(p.n, max_n)
+    engine = ChainEngine(p, max_n)
     fact = list(accumulate(range(1, sum(p.d) + 1), operator.mul, initial=1))
 
     def run_step(s, w, rest):
@@ -158,7 +159,7 @@ def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
         keep = fact[t - 1] // fact[s]
         return ((0, keep * comb(t + rest, t), (t,)), (t, keep, ()))
 
-    terms = ChainEngine(p).fold(lambda block: _block_contribution(p, block), run_step)
+    terms = engine.fold(lambda block: _block_contribution(p, block), run_step)
     return QsymExpr("M", {beta: Fraction(c, fact[-1]) for beta, c in terms.items()})
 
 
@@ -170,14 +171,14 @@ def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     """
     if not is_naturally_labeled(p):
         raise ValueError("poset is not naturally labeled")
-    check_size_guard(p.n, max_n)
+    engine = ChainEngine(p, max_n)
 
     def minimum_weight(block):
         """d(min) if the block has a unique minimum, else 0."""
         minima = [x for x in _bits(block) if p.below[x] & block == 0]
         return p.d[minima[0]] if len(minima) == 1 else 0
 
-    return QsymExpr("PsiHat", ChainEngine(p).fold(minimum_weight))
+    return QsymExpr("PsiHat", engine.fold(minimum_weight))
 
 
 def rooted_surjections(p: LabeledPoset, max_n=None):
@@ -187,9 +188,8 @@ def rooted_surjections(p: LabeledPoset, max_n=None):
     numbers of levels.  Roots in each StripData are indices into the
     induced sub-poset, whose elements are the sorted block elements.
     """
-    check_size_guard(p.n, max_n)
     out = []
-    for chain in ChainEngine(p).chains():
+    for chain in ChainEngine(p, max_n).chains():
         data = tuple(block_strip_data(p, block) for block in chain)
         if all(sd.is_rooted for sd in data):
             out.append((_surjection_from_chain(p, chain), data))

@@ -151,9 +151,6 @@ class LabeledPoset:
         """All comparable pairs (a, b), a <_P b, forcing f(a) < f(b)."""
         return frozenset((a, b) for a, b in self.less if self.omega[a] > self.omega[b])
 
-    def total_weight(self) -> int:
-        return sum(self.d)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

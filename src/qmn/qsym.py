@@ -11,7 +11,7 @@ power sum rule of a poset has a faster route to the monomial basis,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,11 +31,11 @@ BASES = ("M", "Psi", "PsiHat")
 
 @dataclass(frozen=True)
 class QsymExpr:
-    """A basis-tagged sparse map from compositions to exact rationals."""
+    """A basis-tagged sparse map from compositions to exact rationals, held
+    once in `terms`: equality and the hash read it, `items()` sorts it."""
 
     basis: str
-    terms: dict = field(compare=False)
-    _sorted: tuple = field(init=False, compare=True, repr=False)
+    terms: dict
 
     def __post_init__(self):
         if self.basis not in BASES:
@@ -47,13 +47,13 @@ class QsymExpr:
             if coeff != 0:
                 clean[alpha] = coeff
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(
-            self, "_sorted", tuple(sorted(clean.items(), key=lambda kv: canonical_key(kv[0])))
-        )
+
+    def __hash__(self):
+        return hash((self.basis, frozenset(self.terms.items())))
 
     def items(self):
         """Terms in canonical composition order."""
-        return self._sorted
+        return tuple(sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0])))
 
     def coefficient(self, alpha) -> Fraction:
         return self.terms.get(tuple(alpha), Fraction(0))

@@ -7,7 +7,8 @@ character value chi_lambda(mu) is then the PsiHat coefficient of any
 rearrangement of mu, and is independently computable through border
 strip tableaux.  The character table reads only the coefficients at
 partitions, so it folds only the chains of blocks whose weights weakly
-decrease (`mn.mn_partition_expansion`).
+decrease (`mn.mn_partition_expansion`).  It folds each lambda once and
+reads every mu from that fold; nothing is cached from one call to the next.
 """
 
 from __future__ import annotations
@@ -74,9 +75,25 @@ def shape_to_poset(shape: SkewShape) -> LabeledPoset:
     return from_covers(len(cells), covers, omega, [1] * len(cells))
 
 
-@lru_cache(maxsize=None)
 def _schur_psihat_terms(lam, max_n):
     return mn_partition_expansion(shape_to_poset(SkewShape(lam)), max_n=max_n).terms
+
+
+def _same_size(lam, mu):
+    """lam and mu as checked partitions, which must have the same size."""
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError("lambda and mu must have the same size")
+    return lam, mu
+
+
+def _character(terms, mu) -> int:
+    """chi_lambda(mu) from the PsiHat terms of s_lambda; it must be an integer."""
+    value = terms.get(mu, Fraction(0))
+    if value.denominator != 1:
+        raise ArithmeticError(f"non-integer character value {value}")
+    return int(value)
 
 
 def chi(lam, mu, max_n=None) -> int:
@@ -85,15 +102,9 @@ def chi(lam, mu, max_n=None) -> int:
     `max_n` is the size guard, checked against the size of lambda before
     its shape poset is built.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lambda and mu must have the same size")
+    lam, mu = _same_size(lam, mu)
     check_size_guard(sum(lam), max_n)
-    value = _schur_psihat_terms(lam, max_n).get(mu, Fraction(0))
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integer character value {value}")
-    return int(value)
+    return _character(_schur_psihat_terms(lam, max_n), mu)
 
 
 def _is_border_strip(outer, inner):
@@ -146,10 +157,7 @@ def border_strip_tableaux(lam, mu):
     strip k occupies the cells of lam absent from the shape after k
     removals.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lambda and mu must have the same size")
+    lam, mu = _same_size(lam, mu)
 
     out = []
 
@@ -177,10 +185,7 @@ def chi_bst(lam, mu) -> int:
     Strips of sizes mu_k, ..., mu_1 are peeled off lam, each contributing
     (-1)^height.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("lambda and mu must have the same size")
+    lam, mu = _same_size(lam, mu)
 
     @lru_cache(maxsize=None)
     def rec(shape, k):
@@ -198,19 +203,21 @@ def character_table(n: int, max_n=None):
     """All (lambda, mu, chi) triples for partitions of n, canonical order.
 
     `max_n` is the size guard, checked against n before any partition of n
-    is listed.
+    is listed.  Each lambda is folded once, and every mu is read from it.
     """
     check_size_guard(n, max_n)
     lams = partitions_of(n)
-    return [(lam, mu, chi(lam, mu, max_n)) for lam in lams for mu in lams]
+    folds = [(lam, _schur_psihat_terms(lam, max_n)) for lam in lams]
+    return [(lam, mu, _character(terms, mu)) for lam, terms in folds for mu in lams]
 
 
 def orthogonality_check(n: int) -> bool:
     """Row orthogonality sum_mu chi_l(mu) chi_v(mu) / z_mu = [l == v]."""
     lams = partitions_of(n)
+    chis = {(lam, mu): value for lam, mu, value in character_table(n)}
     for la in lams:
         for nu in lams:
-            total = sum(Fraction(chi(la, mu) * chi(nu, mu), z(mu)) for mu in lams)
+            total = sum(Fraction(chis[la, mu] * chis[nu, mu], z(mu)) for mu in lams)
             if total != (1 if la == nu else 0):
                 return False
     return True

@@ -15,6 +15,8 @@ while it walks.  `ChainEngine.chains` lists the chains one by one for the
 explicit enumerators, which tests compare the fold against.  Bitmasks
 over elements keep this fast; the blocks above an ideal are built along
 one linear extension, in time proportional to n times their number.
+Every walk starts by building a `ChainEngine`, the one place that checks
+the size guard for it.
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ class ChainEngine:
     A surjection is a chain of ideals, so every expansion is a sum over
     chains of a product of block values; `fold` computes it per ideal.
     The successors of an ideal are built along one linear extension, in
-    time proportional to n times their number.
+    time proportional to n times their number.  Building an engine checks
+    the size guard `max_n`, so every walk refuses an oversized poset first.
     """
 
-    def __init__(self, p: LabeledPoset):
+    def __init__(self, p: LabeledPoset, max_n=None):
+        check_size_guard(p.n, max_n)
         self.p = p
         self.full = (1 << p.n) - 1
         self._order = topological_order(p)
@@ -152,12 +156,12 @@ def enumerate_order_surjections(p: LabeledPoset, ell, max_n=None):
 
     Strict edges impose no strict inequality here; deterministic order.
     """
-    check_size_guard(p.n, max_n)
+    engine = ChainEngine(p, max_n)
     if not 1 <= ell <= p.n:
         raise ValueError(f"ell must be in 1..{p.n}")
     out = [
         _surjection_from_chain(p, chain)
-        for chain in ChainEngine(p).chains()
+        for chain in engine.chains()
         if len(chain) == ell
     ]
     out.sort(key=lambda f: f.levels)
@@ -181,10 +185,10 @@ def monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     These are the chains whose blocks hold no strict pair, so the fold
     gives each block the value 1 if it holds none, else 0.
     """
-    check_size_guard(p.n, max_n)
+    engine = ChainEngine(p, max_n)
     strict = [(1 << a) | (1 << b) for a, b in p.strict_pairs]
 
     def no_strict_pair(block):
         return 0 if any(block & pair == pair for pair in strict) else 1
 
-    return QsymExpr("M", ChainEngine(p).fold(no_strict_pair))
+    return QsymExpr("M", engine.fold(no_strict_pair))

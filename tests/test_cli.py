@@ -60,11 +60,23 @@ def test_oracle_matches_expand_in_m_basis(capsys):
     assert json.loads(via_rule) == json.loads(via_oracle)
 
 
-def test_verify_pass_and_fail(capsys):
+def test_verify_pass_and_fail(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--poset", STRIP)
     assert code == EXIT_OK and out.strip() == "PASS"
-    code, out = run(capsys, "verify", "--poset", STRIP, "--selftest-corrupt")
-    assert code == EXIT_FAIL and out.startswith("FAIL")
+    fused, bumps = mn.mn_monomial_expansion, []
+
+    def bumped(poset, max_n=None):
+        terms = dict(fused(poset, max_n=max_n).terms)
+        alpha = min(terms)
+        bumps.append((alpha, terms[alpha]))
+        terms[alpha] += 1
+        return QsymExpr("M", terms)
+
+    monkeypatch.setattr(mn, "mn_monomial_expansion", bumped)
+    code, out = run(capsys, "verify", "--poset", STRIP)
+    ((alpha, c),) = bumps
+    assert code == EXIT_FAIL
+    assert out == f"FAIL: coefficient of M_{','.join(map(str, alpha))} differs: rule {c + 1} vs oracle {c}\n"
 
 
 def test_chi(capsys):
@@ -366,7 +378,7 @@ def _command_args(poset):
             _flags("--json"),
         ),
         "oracle": st.tuples(st.just(["--poset", poset]), _flags("--json")),
-        "verify": st.tuples(st.just(["--poset", poset]), _flags("--selftest-corrupt")),
+        "verify": st.tuples(st.just(["--poset", poset])),
         "schur": st.tuples(st.integers(-1, 5).map(lambda n: [f"--n={n}"]), _flags("--json")),
         "chi": (_partition_pair | st.lists(_composition, min_size=2, max_size=2)).map(
             lambda lam_mu: ([f"--lam={lam_mu[0]}", f"--mu={lam_mu[1]}"],)

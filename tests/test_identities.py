@@ -43,7 +43,6 @@ def test_q_polynomial_arithmetic():
     a = QPolynomial((1, 1))
     assert a * a == QPolynomial((1, 2, 1))
     assert a + ONE == QPolynomial((2, 1))
-    assert a(2) == 3
     assert QPolynomial((0, 1, 0)) == QPolynomial((0, 1))
 
 

@@ -108,3 +108,14 @@ def test_json_form():
         "basis": "M",
         "terms": [{"alpha": "1,5,2", "coeff": "-3/1"}],
     }
+
+
+def test_terms_are_held_once():
+    expr = M(((1, 1), 2), ((2,), 1))
+    expr.terms[(2,)] = Fraction(5)
+    assert expr == QsymExpr("M", dict(expr.terms))
+    assert expr.items() == (((1, 1), Fraction(2)), ((2,), Fraction(5)))
+    a = M(((1, 2), 1), ((2, 1), 3), ((3,), -1))
+    b = M(((3,), -1), ((2, 1), 3), ((1, 2), 1))
+    assert a == b and hash(a) == hash(b)
+    assert a != QsymExpr("Psi", a.terms)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from qmn import schur
 from qmn.compositions import partitions_of
 from qmn.mn import mn_expansion
 from qmn.qsym import psi_to_monomial
@@ -105,3 +108,24 @@ def test_schur_expansion_matches_oracle():
     for lam in partitions_of(4):
         p = shape_to_poset(SkewShape(lam))
         assert psi_to_monomial(mn_expansion(p)) == monomial_expansion(p)
+
+
+def test_each_shape_is_folded_once(monkeypatch):
+    calls, fold = Counter(), schur._schur_psihat_terms
+
+    def counted(lam, max_n):
+        calls[lam] += 1
+        return fold(lam, max_n)
+
+    monkeypatch.setattr(schur, "_schur_psihat_terms", counted)
+    for n in range(1, 10):
+        calls.clear()
+        character_table(n)
+        assert calls == Counter(partitions_of(n)), n
+    for n in range(1, 6):
+        calls.clear()
+        orthogonality_check(n)
+        assert calls == Counter(partitions_of(n)), n
+    calls.clear()
+    assert (chi((2, 1), (3,)), chi((2, 1), (1, 1, 1)), chi((3,), (3,))) == (-1, 2, 1)
+    assert calls == Counter({(2, 1): 2, (3,): 1})

@@ -1,10 +1,19 @@
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from operator import attrgetter
 
 import pytest
 
 from qmn.compositions import coarsenings, partitions_of
+from qmn.mn import (
+    mn_expansion,
+    mn_monomial_expansion,
+    mn_partition_expansion,
+    natural_mn_expansion,
+    rooted_surjections,
+)
 from qmn.posets import from_covers, natural_relabeling, random_poset
 from qmn.qsym import QsymExpr
 from qmn.schur import SkewShape, shape_to_poset
@@ -86,11 +95,37 @@ def test_degree_is_total_weight():
     assert monomial_expansion(p).degree == 6
 
 
-def test_size_guard():
+_degree = attrgetter("degree")
+
+
+# every walk of the ideal lattice, with a size of its answer on a natural 11-chain:
+# its 2^10 compositions are all rooted, and it has one surjection onto [11]
+@pytest.mark.parametrize(
+    "walk, size, expected",
+    [
+        (monomial_expansion, _degree, 11),
+        (mn_expansion, _degree, 11),
+        (mn_partition_expansion, _degree, 11),
+        (mn_monomial_expansion, _degree, 11),
+        (natural_mn_expansion, _degree, 11),
+        (rooted_surjections, len, 2**10),
+        (partial(enumerate_order_surjections, ell=11), len, 1),
+    ],
+    ids=[
+        "monomial_expansion",
+        "mn_expansion",
+        "mn_partition_expansion",
+        "mn_monomial_expansion",
+        "natural_mn_expansion",
+        "rooted_surjections",
+        "enumerate_order_surjections",
+    ],
+)
+def test_size_guard(walk, size, expected):
     big = from_covers(11, [(i, i + 1) for i in range(10)], list(range(1, 12)), [1] * 11)
     with pytest.raises(PosetTooLarge):
-        monomial_expansion(big)
-    assert monomial_expansion(big, max_n=11).degree == 11
+        walk(big)
+    assert size(walk(big, max_n=11)) == expected
 
 
 def test_fold_matches_explicit_enumeration(cross_check_posets):
