@@ -24,8 +24,7 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -36,17 +35,26 @@ from .compositions import check_composition, coarsening_blocks
 # --- exact integer polynomials in q ----------------------------------------
 
 
-@dataclass(frozen=True)
 class QPolynomial:
-    """Dense integer polynomial in q with nonnegative coefficients; index = power."""
+    """Dense integer polynomial in q with nonnegative coefficients; index = power.
+    The constructor drops trailing zero coefficients."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = list(self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self.coeffs = tuple(coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"QPolynomial(coeffs={self.coeffs!r})"
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -184,18 +192,10 @@ def q_probabilistic_sum(d) -> QPolynomial:
 # --- beta-trees and linear extensions ---------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaTree:
-    """Caterpillar tree encoding a coarsening event.
-
-    Internal vertex j (1-based, bottom to top) carries the leaf groups in
-    leaf_blocks[j-1]; its hook equals the prefix sum of the coarsening.
-    """
-
-    internal_count: int
-    leaf_blocks: tuple
-    hooks: tuple
-    total: int
+BetaTree = namedtuple("BetaTree", "internal_count leaf_blocks hooks total")
+BetaTree.__doc__ = """Caterpillar tree encoding a coarsening event.  Internal vertex j
+(1-based, bottom to top) carries the leaf groups in leaf_blocks[j-1]; its
+hook equals the prefix sum of the coarsening."""
 
 
 def _tree(runs) -> BetaTree:

@@ -27,7 +27,7 @@ also gives the poset's own covers.  Each expansion passes its `max_n` to
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -41,15 +41,10 @@ TAG_PLUS = 1
 TAG_STAR = 0
 
 
-@dataclass(frozen=True)
-class StripData:
-    """Tagging, rootedness, sign and root of a generalized border strip."""
-
-    is_gbs: bool
-    tags: tuple | None = None
-    is_rooted: bool = False
-    sign: int | None = None
-    root: int | None = None
+StripData = namedtuple(
+    "StripData", "is_gbs tags is_rooted sign root", defaults=(None, False, None, None)
+)
+StripData.__doc__ = "Tagging, rootedness, sign and root of a generalized border strip."
 
 
 def is_generalized_border_strip(p: LabeledPoset) -> bool:

@@ -10,7 +10,9 @@ elements, and the one that checks or closes a relation: `_masks` checks
 each pair as it sets its bit.  `LabeledPoset.below` holds each element's
 predecessors, and `LabeledPoset.lower_covers` is the one Hasse routine,
 for the whole poset or the subposet on any mask.  Validation and the
-closure run on the same masks.  It also holds the size guard, which
+closure run on the same masks.  `LabeledPoset`, a named tuple, is
+validated by its constructor `LabeledPoset(n, less, omega, d)`, which
+every other builder here calls.  It also holds the size guard, which
 `load_poset` checks before a file's relation is closed.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -88,38 +90,38 @@ def _transitive_closure(n, pairs):
     return frozenset((a, b) for b in range(n) for a in _bits(below[b]))
 
 
-@dataclass(frozen=True)
-class LabeledPoset:
+class LabeledPoset(namedtuple("LabeledPoset", "n less omega d")):
     """A weighted labeled poset (P, omega, d).
 
     `less` is the full strict order relation as a set of pairs (a, b)
-    meaning a <_P b; it is transitively closed by construction.
+    meaning a <_P b; it is transitively closed by construction.  The
+    constructor checks n, then the labels, the weights and the relation.
     """
 
-    n: int
-    less: frozenset
-    omega: tuple
-    d: tuple
-
-    def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise PosetError(f"poset must have at least one element: n = {self.n!r}")
+    def __new__(cls, n, less, omega, d):
+        self = super().__new__(cls, n, less, omega, d)
+        if not _is_int(n) or n < 1:
+            raise PosetError(f"poset must have at least one element: n = {n!r}")
         if (
-            len(self.omega) != self.n  # before n sizes the list of labels
-            or not all(map(_is_int, self.omega))
-            or sorted(self.omega) != list(range(1, self.n + 1))
+            len(omega) != n  # before n sizes the list of labels
+            or not all(map(_is_int, omega))
+            or sorted(omega) != list(range(1, n + 1))
         ):
-            raise PosetError(f"labels must be a permutation of 1..{self.n}: {self.omega}")
-        if len(self.d) != self.n or not all(_is_int(w) and w >= 1 for w in self.d):
-            raise PosetError(f"weights must be positive integers: {self.d}")
+            raise PosetError(f"labels must be a permutation of 1..{n}: {omega}")
+        if len(d) != n or not all(_is_int(w) and w >= 1 for w in d):
+            raise PosetError(f"weights must be positive integers: {d}")
         below, closed = self.below, True
-        for b in range(self.n):
+        for b in range(n):
             for a in _bits(below[b]):
                 if a == b or below[a] >> b & 1:
                     raise PosetError("relation is not a strict partial order")
                 closed = closed and not below[a] & ~below[b]
         if not closed:
             raise PosetError("relation is not transitively closed")
+        return self
+
+    def __setattr__(self, name, value):  # cached properties write to __dict__ directly
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def below(self):
@@ -177,7 +179,7 @@ def from_covers(n, covers, omega, d) -> LabeledPoset:
     cycles are rejected.
     """
     p, covers = _unclosed(n, covers, omega, d)
-    return replace(p, less=_transitive_closure(n, covers))
+    return LabeledPoset(n, _transitive_closure(n, covers), p.omega, p.d)
 
 
 def _json_fields(data):
@@ -203,7 +205,7 @@ def load_poset(path, max_n=None) -> LabeledPoset:
             raise PosetError(f"JSON in {path} is nested too deeply") from None
     p, covers = _unclosed(*_json_fields(data))
     check_size_guard(p.n, max_n)
-    return replace(p, less=_transitive_closure(p.n, covers))
+    return LabeledPoset(p.n, _transitive_closure(p.n, covers), p.omega, p.d)
 
 
 def is_naturally_labeled(p: LabeledPoset) -> bool:
@@ -231,7 +233,7 @@ def natural_relabeling(p: LabeledPoset) -> LabeledPoset:
 
 def relabeled(p: LabeledPoset, omega) -> LabeledPoset:
     """The poset p with the labeling omega; its order and weights are kept."""
-    return replace(p, omega=tuple(omega))
+    return LabeledPoset(p.n, p.less, tuple(omega), p.d)
 
 
 def induced_subposet(p: LabeledPoset, subset):

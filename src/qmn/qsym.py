@@ -7,11 +7,12 @@ power sum basis are converted on demand by `psi_to_monomial`, the generic
 converter, which expands each term over all cuts of its composition.  The
 power sum rule of a poset has a faster route to the monomial basis,
 `mn.mn_monomial_expansion`, which converts inside the ideal-lattice fold.
+`QsymExpr(basis, terms)` is the one constructor: it checks the basis and
+each composition and drops zero coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,24 +30,31 @@ from .compositions import (
 BASES = ("M", "Psi", "PsiHat")
 
 
-@dataclass(frozen=True)
 class QsymExpr:
     """A basis-tagged sparse map from compositions to exact rationals, held
     once in `terms`: equality and the hash read it, `items()` sorts it."""
 
-    basis: str
-    terms: dict
+    __slots__ = ("basis", "terms")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(self, basis, terms):
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
         clean = {}
-        for alpha, coeff in self.terms.items():
+        for alpha, coeff in terms.items():
             alpha = check_composition(alpha)
             coeff = Fraction(coeff)
             if coeff != 0:
                 clean[alpha] = coeff
-        object.__setattr__(self, "terms", clean)
+        self.basis = basis
+        self.terms = clean
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis and self.terms == other.terms
+
+    def __repr__(self):
+        return f"QsymExpr(basis={self.basis!r}, terms={self.terms!r})"
 
     def __hash__(self):
         return hash((self.basis, frozenset(self.terms.items())))

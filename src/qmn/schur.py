@@ -9,11 +9,13 @@ strip tableaux.  The character table reads only the coefficients at
 partitions, so it folds only the chains of blocks whose weights weakly
 decrease (`mn.mn_partition_expansion`).  It folds each lambda once and
 reads every mu from that fold; nothing is cached from one call to the next.
+`SkewShape`, a named tuple, is validated by its constructor
+`SkewShape(outer, inner=())`: both partitions, and inner inside outer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,22 +24,21 @@ from .mn import mn_partition_expansion
 from .posets import LabeledPoset, check_size_guard, from_covers
 
 
-@dataclass(frozen=True)
-class SkewShape:
-    outer: tuple
-    inner: tuple = ()
+class SkewShape(namedtuple("SkewShape", "outer inner")):
+    """The skew Young diagram outer/inner (inner is empty for a straight shape)."""
 
-    def __post_init__(self):
-        outer = check_partition(self.outer)
-        inner = tuple(self.inner)
+    __slots__ = ()
+
+    def __new__(cls, outer, inner=()):
+        outer = check_partition(outer)
+        inner = tuple(inner)
         if inner:
             check_partition(inner)
         if len(inner) > len(outer):
             raise ValueError("inner shape is taller than outer")
         if any(inner[i] > outer[i] for i in range(len(inner))):
             raise ValueError("inner shape does not fit inside outer")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+        return super().__new__(cls, outer, inner)
 
     def cells(self):
         """Cells (row, col), 0-indexed, row 0 on top."""
@@ -107,9 +108,8 @@ def chi(lam, mu, max_n=None) -> int:
     return _character(_schur_psihat_terms(lam, max_n), mu)
 
 
-def _is_border_strip(outer, inner):
-    """The skew diagram outer/inner is connected with no 2x2 block."""
-    cells = set(SkewShape(outer, inner).cells())
+def _is_border_strip(cells):
+    """The skew diagram with this set of cells is connected with no 2x2 block."""
     if not cells:
         return False
     if any({(r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells for r, c in cells):
@@ -127,27 +127,22 @@ def _is_border_strip(outer, inner):
     return seen == cells
 
 
-def _strip_height(outer, inner):
-    return len({r for r, _ in SkewShape(outer, inner).cells()}) - 1
-
-
 def _strip_removals(lam, size):
-    """All (smaller shape, height) after removing one border strip of `size`."""
+    """All (smaller shape, height) after removing one border strip of `size`;
+    the height of a strip is its row span minus one."""
     out = []
     for smaller in partitions_of(sum(lam) - size):
         if len(smaller) > len(lam) or any(s > part for s, part in zip(smaller, lam)):
             continue
-        if _is_border_strip(lam, smaller):
-            out.append((smaller, _strip_height(lam, smaller)))
+        cells = set(SkewShape(lam, smaller).cells())
+        if _is_border_strip(cells):
+            out.append((smaller, len({r for r, _ in cells}) - 1))
     return out
 
 
-@dataclass(frozen=True)
-class BorderStripTableau:
-    """A decomposition of a shape into border strips of prescribed sizes."""
-
-    assignment: tuple  # ((row, col, strip_index), ...)
-    heights: tuple  # per strip, row span minus one
+BorderStripTableau = namedtuple("BorderStripTableau", "assignment heights")
+BorderStripTableau.__doc__ = """A decomposition of a shape into border strips of prescribed
+sizes: assignment is ((row, col, strip_index), ...), heights each strip's row span minus one."""
 
 
 def border_strip_tableaux(lam, mu):
@@ -203,9 +198,12 @@ def character_table(n: int, max_n=None):
     """All (lambda, mu, chi) triples for partitions of n, canonical order.
 
     `max_n` is the size guard, checked against n before any partition of n
-    is listed.  Each lambda is folded once, and every mu is read from it.
+    is listed; then n must be at least 1.  Each lambda is folded once, and
+    every mu is read from it.
     """
     check_size_guard(n, max_n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1: n = {n}")
     lams = partitions_of(n)
     folds = [(lam, _schur_psihat_terms(lam, max_n)) for lam in lams]
     return [(lam, mu, _character(terms, mu)) for lam, terms in folds for mu in lams]
@@ -213,8 +211,8 @@ def character_table(n: int, max_n=None):
 
 def orthogonality_check(n: int) -> bool:
     """Row orthogonality sum_mu chi_l(mu) chi_v(mu) / z_mu = [l == v]."""
-    lams = partitions_of(n)
     chis = {(lam, mu): value for lam, mu, value in character_table(n)}
+    lams = partitions_of(n)
     for la in lams:
         for nu in lams:
             total = sum(Fraction(chis[la, mu] * chis[nu, mu], z(mu)) for mu in lams)

@@ -16,12 +16,14 @@ explicit enumerators, which tests compare the fold against.  Bitmasks
 over elements keep this fast; the blocks above an ideal are built along
 one linear extension, in time proportional to n times their number.
 Every walk starts by building a `ChainEngine`, the one place that checks
-the size guard for it.
+the size guard for it.  `OrderSurjection` is a plain named tuple, built
+only from a chain of the walk; the poset it reads was validated by its
+constructor `posets.LabeledPoset`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .posets import (  # DEFAULT_MAX_N and PosetTooLarge are re-exported
     DEFAULT_MAX_N,
@@ -35,18 +37,9 @@ from .posets import (  # DEFAULT_MAX_N and PosetTooLarge are re-exported
 from .qsym import QsymExpr
 
 
-@dataclass(frozen=True)
-class OrderSurjection:
-    """A level assignment P -> {1..ell} with derived block data.
-
-    wt counts elements per level; wtd totals the element weights per level.
-    """
-
-    levels: tuple
-    ell: int
-    blocks: tuple
-    wt: tuple
-    wtd: tuple
+OrderSurjection = namedtuple("OrderSurjection", "levels ell blocks wt wtd")
+OrderSurjection.__doc__ = """A level assignment P -> {1..ell} with derived block data:
+wt counts elements per level, wtd totals the element weights per level."""
 
 
 def _surjection_from_chain(p: LabeledPoset, chain) -> OrderSurjection:

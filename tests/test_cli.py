@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -132,7 +131,7 @@ _real_tree = identities._tree
 
 def _tree_with_a_bad_hook(runs):
     tree = _real_tree(runs)
-    return dataclasses.replace(tree, hooks=tree.hooks[:-1] + (tree.total + 1,))
+    return tree._replace(hooks=tree.hooks[:-1] + (tree.total + 1,))
 
 
 @pytest.mark.parametrize(
@@ -208,14 +207,15 @@ def test_input_error_exit_code(capsys, tmp_path):
     bool_weight.write_text(json.dumps({"n": 2, "covers": [], "labels": [1, 2], "weights": [True, 1]}))
     code, _ = run(capsys, "expand", "--poset", str(bool_weight))
     assert code == EXIT_INPUT
-    for argv in (
-        ("random-check", "--count", "2", "--n-max", "0"),
-        ("random-check", "--count", "-1"),
-        ("schur", "--n", "-1"),
-        ("identities", "--d", "1,2", "--samples", "-5"),
+    for argv, message in (
+        (("random-check", "--count", "2", "--n-max", "0"), "--count and --n-max must be at least 1"),
+        (("random-check", "--count", "-1"), "--count and --n-max must be at least 1"),
+        (("schur", "--n", "0"), "n must be at least 1: n = 0"),
+        (("schur", "--n", "-1"), "n must be at least 1: n = -1"),
+        (("identities", "--d", "1,2", "--samples", "-5"), "--samples must be nonnegative"),
     ):
-        code, _ = run(capsys, *argv)
-        assert code == EXIT_INPUT
+        assert main(list(argv)) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_guard_exit_code(capsys, tmp_path, monkeypatch):
