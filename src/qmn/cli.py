@@ -2,15 +2,14 @@
 
 Exit codes: 0 success/PASS, 1 verification FAIL (also a check that
 raises ArithmeticError), 2 input error, 3 size guard exceeded.  The guard
-defaults to 10 elements (10 parts for identities --d) and can be
-overridden with --max-n or the QMN_MAX_N environment variable.
+is 10 elements (10 parts for identities --d) unless --max-n overrides it;
+the QMN_MAX_N environment variable, read once, is the default of --max-n.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import operator
 import os
 import sys
@@ -25,13 +24,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
-
-
-def _max_n(args) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get("QMN_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
 
 
 def _print_expr(expr: QsymExpr, as_json: bool):
@@ -50,14 +42,14 @@ def _expand_in_basis(poset, basis, max_n) -> QsymExpr:
 
 
 def cmd_expand(args) -> int:
-    poset = load_poset(args.poset, _max_n(args))
-    _print_expr(_expand_in_basis(poset, args.basis, _max_n(args)), args.json)
+    poset = load_poset(args.poset, args.max_n)
+    _print_expr(_expand_in_basis(poset, args.basis, args.max_n), args.json)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    poset = load_poset(args.poset, _max_n(args))
-    _print_expr(surjections.monomial_expansion(poset, max_n=_max_n(args)), args.json)
+    poset = load_poset(args.poset, args.max_n)
+    _print_expr(surjections.monomial_expansion(poset, max_n=args.max_n), args.json)
     return EXIT_OK
 
 
@@ -84,8 +76,8 @@ def _describe(diff) -> str:
 
 
 def cmd_verify(args) -> int:
-    poset = load_poset(args.poset, _max_n(args))
-    ok, diff = _verify_poset(poset, _max_n(args))
+    poset = load_poset(args.poset, args.max_n)
+    ok, diff = _verify_poset(poset, args.max_n)
     if ok:
         print("PASS")
         return EXIT_OK
@@ -94,7 +86,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    table = schur.character_table(args.n, _max_n(args))
+    table = schur.character_table(args.n, args.max_n)
     payload = {
         "n": args.n,
         "table": [
@@ -113,12 +105,12 @@ def cmd_schur(args) -> int:
 def cmd_chi(args) -> int:
     lam = parse_composition(args.lam)
     mu = parse_composition(args.mu)
-    print(schur.chi(lam, mu, _max_n(args)))
+    print(schur.chi(lam, mu, args.max_n))
     return EXIT_OK
 
 
-def _factorial_text(n) -> str:
-    """str(n!), refused before n! is computed when it has more digits than
+def _refuse_unprintable_factorial(n):
+    """Refuse n, before n! is computed, when n! has more digits than
     Python's int-to-string limit allows (a limit of 0 means none)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
@@ -127,17 +119,15 @@ def _factorial_text(n) -> str:
             product *= k
             if product >= bound:
                 raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints")
-    return str(math.factorial(n))
 
 
 def cmd_identities(args) -> int:
     d = parse_composition(args.d)
-    max_n = _max_n(args)
-    if len(d) > max_n:
-        raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {max_n}")
+    if len(d) > args.max_n:
+        raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {args.max_n}")
     if args.samples < 0:
         raise ValueError("--samples must be nonnegative")
-    rhs_text = _factorial_text(sum(d))  # before any sum runs
+    _refuse_unprintable_factorial(sum(d))  # before any sum runs
     total = identities.probabilistic_sum(d)
     q_ok = identities.q_probabilistic_sum(d) == identities.ONE
     lhs, rhs = identities.linext_identity_check(d)
@@ -146,7 +136,7 @@ def cmd_identities(args) -> int:
         "sum": f"{total.numerator}/{total.denominator}",
         "q_identity": q_ok,
         "linext_lhs": str(lhs),
-        "linext_rhs": rhs_text,
+        "linext_rhs": str(rhs),
     }
     if args.samples:
         freqs = identities.staircase_monte_carlo(d, args.samples, args.seed)
@@ -166,9 +156,10 @@ def cmd_identities(args) -> int:
 def cmd_random_check(args) -> int:
     if args.count < 1 or args.n_max < 1:
         raise ValueError("--count and --n-max must be at least 1")
-    max_n = _max_n(args)
-    if args.n_max > max_n:
-        raise PosetTooLarge(f"--n-max {args.n_max} exceeds guard {max_n}")
+    max_n = args.max_n
+    if args.n_max >= max_n:  # a weight split adds one element
+        note = "" if args.n_max > max_n else " once a weight split adds an element"
+        raise PosetTooLarge(f"--n-max {args.n_max} exceeds guard {max_n}{note}")
     main_ok = edge_ok = split_ok = 0
     for i in range(args.count):
         n = 1 + (i % args.n_max)
@@ -182,7 +173,7 @@ def cmd_random_check(args) -> int:
             wholes, rewrites.add_edge_pair(poset, *pair), operator.add, max_n
         )
         vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
-        split = vertex is None or poset.n + 1 > max_n or _check_rewrite(
+        split = vertex is None or _check_rewrite(
             wholes, rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1),
             operator.sub, max_n
         )
@@ -215,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmn", description="Exact power sum expansions of weighted labeled posets."
     )
-    parser.add_argument("--max-n", type=int, default=None, help="size guard override")
+    guard = os.environ.get("QMN_MAX_N") or DEFAULT_MAX_N  # read once; argparse converts it
+    parser.add_argument("--max-n", type=int, default=guard, help="size guard override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_expand = sub.add_parser("expand", help="power sum rule expansion of a poset file")

@@ -12,7 +12,7 @@ predecessors, and `LabeledPoset.lower_covers` is the one Hasse routine,
 for the whole poset or the subposet on any mask.  Validation and the
 closure run on the same masks.  `LabeledPoset`, a named tuple, is
 validated by its constructor `LabeledPoset(n, less, omega, d)`, which
-every other builder here calls.  It also holds the size guard, which
+every other builder here calls; it checks every field it stores.  It also holds the size guard, which
 `load_poset` checks before a file's relation is closed.
 """
 
@@ -57,6 +57,15 @@ def mask_elements(mask):
     return tuple(_bits(mask))
 
 
+def _collection(cast, value, name):
+    """cast(value) for the field `name`; PosetError if value is not a
+    collection, or if cast is frozenset and a pair in it is unhashable."""
+    try:
+        return cast(value)
+    except TypeError as exc:
+        raise PosetError(f"{name} must be a collection: {exc}") from None
+
+
 def _masks(n, pairs):
     """below[b] is the mask of the a with (a, b) among the pairs.  Each pair
     is checked as it becomes a bit: it must be two element indices in 0..n-1."""
@@ -73,9 +82,9 @@ def _masks(n, pairs):
 
 
 def _transitive_closure(n, pairs):
-    """Reachability closure of the list `pairs`; raises PosetError on a
-    cycle, naming a self-loop in pair order, else the smallest element on a
-    cycle."""
+    """Reachability closure of the pairs; raises PosetError on a cycle,
+    naming a self-loop in pair order, else the smallest element on a cycle."""
+    pairs = _collection(list, pairs, "covers")
     below = _masks(n, pairs)
     if any(below[x] >> x & 1 for x in range(n)):
         loop = next(a for a, b in pairs if a == b)
@@ -95,21 +104,24 @@ class LabeledPoset(namedtuple("LabeledPoset", "n less omega d")):
 
     `less` is the full strict order relation as a set of pairs (a, b)
     meaning a <_P b; it is transitively closed by construction.  The
-    constructor checks n, then the labels, the weights and the relation.
+    constructor checks n, then the labels, the weights and the relation,
+    and stores `less` as a frozenset, the labels and weights as tuples.
     """
 
     def __new__(cls, n, less, omega, d):
-        self = super().__new__(cls, n, less, omega, d)
         if not _is_int(n) or n < 1:
             raise PosetError(f"poset must have at least one element: n = {n!r}")
+        omega = _collection(tuple, omega, "labels")
         if (
             len(omega) != n  # before n sizes the list of labels
             or not all(map(_is_int, omega))
             or sorted(omega) != list(range(1, n + 1))
         ):
             raise PosetError(f"labels must be a permutation of 1..{n}: {omega}")
+        d = _collection(tuple, d, "weights")
         if len(d) != n or not all(_is_int(w) and w >= 1 for w in d):
             raise PosetError(f"weights must be positive integers: {d}")
+        self = super().__new__(cls, n, _collection(frozenset, less, "relation"), omega, d)
         below, closed = self.below, True
         for b in range(n):
             for a in _bits(below[b]):
@@ -162,23 +174,13 @@ class LabeledPoset(namedtuple("LabeledPoset", "n less omega d")):
         }
 
 
-def _unclosed(n, covers, omega, d):
-    """The poset without relations and the relation as a list, once n,
-    labels and weights are checked: n sizes the closure only after that."""
-    try:
-        covers, omega, d = list(covers), tuple(omega), tuple(d)
-    except TypeError as exc:
-        raise PosetError(f"covers, labels and weights must be sequences: {exc}") from None
-    return LabeledPoset(n, frozenset(), omega, d), covers
-
-
 def from_covers(n, covers, omega, d) -> LabeledPoset:
     """Build a poset from any generating set of relations.
 
     Redundant pairs are absorbed by re-deriving the transitive reduction;
     cycles are rejected.
     """
-    p, covers = _unclosed(n, covers, omega, d)
+    p = LabeledPoset(n, (), omega, d)  # the fields, before n sizes the closure
     return LabeledPoset(n, _transitive_closure(n, covers), p.omega, p.d)
 
 
@@ -203,9 +205,10 @@ def load_poset(path, max_n=None) -> LabeledPoset:
             raise PosetError(f"invalid JSON in {path}: {exc}") from exc
         except RecursionError:
             raise PosetError(f"JSON in {path} is nested too deeply") from None
-    p, covers = _unclosed(*_json_fields(data))
-    check_size_guard(p.n, max_n)
-    return LabeledPoset(p.n, _transitive_closure(p.n, covers), p.omega, p.d)
+    n, covers, omega, d = _json_fields(data)
+    p = LabeledPoset(n, (), omega, d)  # the fields, then the guard, then the closure
+    check_size_guard(n, max_n)
+    return LabeledPoset(n, _transitive_closure(n, covers), p.omega, p.d)
 
 
 def is_naturally_labeled(p: LabeledPoset) -> bool:
@@ -233,7 +236,7 @@ def natural_relabeling(p: LabeledPoset) -> LabeledPoset:
 
 def relabeled(p: LabeledPoset, omega) -> LabeledPoset:
     """The poset p with the labeling omega; its order and weights are kept."""
-    return LabeledPoset(p.n, p.less, tuple(omega), p.d)
+    return LabeledPoset(p.n, p.less, omega, p.d)
 
 
 def induced_subposet(p: LabeledPoset, subset):
@@ -246,15 +249,12 @@ def induced_subposet(p: LabeledPoset, subset):
     if not elements:
         raise PosetError("subset must be nonempty")
     index = {x: i for i, x in enumerate(elements)}
-    less = frozenset(
-        (index[a], index[b]) for a, b in p.less if a in index and b in index
-    )
+    less = {(index[a], index[b]) for a, b in p.less if a in index and b in index}
     ranked = sorted(elements, key=lambda x: p.omega[x])
     omega = [0] * len(elements)
     for rank, x in enumerate(ranked, start=1):
         omega[index[x]] = rank
-    d = tuple(p.d[x] for x in elements)
-    return LabeledPoset(len(elements), less, tuple(omega), d)
+    return LabeledPoset(len(elements), less, omega, [p.d[x] for x in elements])
 
 
 def random_poset(n, edge_density, seed) -> LabeledPoset:

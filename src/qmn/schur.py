@@ -128,15 +128,15 @@ def _is_border_strip(cells):
 
 
 def _strip_removals(lam, size):
-    """All (smaller shape, height) after removing one border strip of `size`;
-    the height of a strip is its row span minus one."""
+    """All (smaller shape, height, cells) after removing one border strip of
+    `size`; the height of a strip is its row span minus one."""
     out = []
     for smaller in partitions_of(sum(lam) - size):
         if len(smaller) > len(lam) or any(s > part for s, part in zip(smaller, lam)):
             continue
         cells = set(SkewShape(lam, smaller).cells())
         if _is_border_strip(cells):
-            out.append((smaller, len({r for r, _ in cells}) - 1))
+            out.append((smaller, len({r for r, _ in cells}) - 1, cells))
     return out
 
 
@@ -164,8 +164,7 @@ def border_strip_tableaux(lam, mu):
             out.append(BorderStripTableau(cells, tuple(heights)))
             return
         size = mu[k - 1]
-        for smaller, height in _strip_removals(shape, size):
-            strip = SkewShape(shape, smaller).cells()
+        for smaller, height, strip in _strip_removals(shape, size):
             assignment = dict(removed)
             assignment.update({cell: k for cell in strip})
             peel(smaller, k - 1, assignment, [height] + heights)
@@ -188,7 +187,7 @@ def chi_bst(lam, mu) -> int:
             return 1 if not shape else 0
         return sum(
             (-1) ** height * rec(smaller, k - 1)
-            for smaller, height in _strip_removals(shape, mu[k - 1])
+            for smaller, height, _ in _strip_removals(shape, mu[k - 1])
         )
 
     return rec(lam, len(mu))

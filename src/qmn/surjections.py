@@ -9,10 +9,12 @@ Internally a surjection is a chain of order ideals: the union of the
 first k preimage blocks is always an order ideal.  `ChainEngine.fold` is
 the single traversal of the ideal lattice behind every expansion: the
 oracle here, and the power sum rules in `mn`, which differ only in the
-value they give each block.  The fold can carry a small value per ideal
-along the chain; `mn` uses it to write the rule in the monomial basis
-while it walks.  `ChainEngine.chains` lists the chains one by one for the
-explicit enumerators, which tests compare the fold against.  Bitmasks
+value they give each block.  Every walk takes one path: a step lists
+each block's moves, and the plain step adds the block's weight as one
+part.  Other steps carry a small value per ideal along the chain; `mn`
+uses one to write the rule in the monomial basis while it walks.
+`ChainEngine.chains` lists the chains one by one for the explicit
+enumerators, which tests compare the fold against.  Bitmasks
 over elements keep this fast; the blocks above an ideal are built along
 one linear extension, in time proportional to n times their number.
 Every walk starts by building a `ChainEngine`, the one place that checks
@@ -53,6 +55,11 @@ def _surjection_from_chain(p: LabeledPoset, chain) -> OrderSurjection:
     return OrderSurjection(tuple(levels), len(blocks), blocks, wt, wtd)
 
 
+def _one_part(s, w, rest):
+    """The plain fold step: a block adds its weight w as one part."""
+    return ((0, 1, (w,)),)
+
+
 class ChainEngine:
     """The lattice of order ideals of one poset.
 
@@ -90,7 +97,7 @@ class ChainEngine:
 
         yield from walk(0, ())
 
-    def fold(self, block_value, step=None):
+    def fold(self, block_value, step=_one_part):
         """Sum over all chains of the product of their block values.
 
         Returns a map from composition to coefficient.  The walk runs over
@@ -102,12 +109,12 @@ class ChainEngine:
         and puts head in front of the suffix.  The map F(I, s) of suffix
         compositions is built once per state,
         F(I, s) = sum over B and moves of value(B) * factor * (head + F(I | B, s')),
-        and F(0, 0) is the answer.  Without a step, s stays 0 and every block
-        adds the part wtd(B), so F(0, 0) maps each weighted level composition
-        to its sum of products (Stanley, EC1 3.4 and 4.7).  A step that lists
-        no moves refuses the block.  A block is valued once per mask, the
-        first time one of its moves is used, so a block every step refuses is
-        never valued; blocks valued 0 are pruned.
+        and F(0, 0) is the answer.  The default step `_one_part` keeps s at 0
+        and lets every block add the part wtd(B), so F(0, 0) maps each
+        weighted level composition to its sum of products (Stanley, EC1 3.4
+        and 4.7).  A step that lists no moves refuses the block.  A block is
+        valued once per mask, the first time one of its moves is used, so a
+        block every step refuses is never valued; blocks valued 0 are pruned.
         """
         d = self.p.d
         blocks = {}
@@ -121,14 +128,12 @@ class ChainEngine:
             for block in self.successors(ideal):
                 entry = blocks.get(block)
                 if entry is None:
-                    w = sum(d[x] for x in _bits(block))
-                    entry = blocks[block] = [None, w, ((0, 1, (w,)),)]
-                value, w, moves = entry
+                    entry = blocks[block] = [None, sum(d[x] for x in _bits(block))]
+                value, w = entry
                 after = rest - w
-                if step is not None:
-                    moves = step(s, w, after)
-                    if not moves:
-                        continue
+                moves = step(s, w, after)
+                if not moves:
+                    continue
                 if value is None:
                     value = entry[0] = block_value(block)
                 if value == 0:

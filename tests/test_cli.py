@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmn import identities, mn, posets, schur
+from qmn import identities, mn, posets, rewrites, schur
 from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main
 from qmn.compositions import partitions_of
 from qmn.posets import random_poset
@@ -247,6 +247,46 @@ def test_guard_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QMN_MAX_N", "11")
     code, _ = run(capsys, "expand", "--poset", str(big))
     assert code == EXIT_OK
+
+
+def test_random_check_refuses_an_n_max_whose_splits_pass_the_guard(capsys, monkeypatch):
+    assert main(["random-check", "--count", "10", "--n-max", "10"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == "" and "guard 10" in captured.err
+    split, sizes = rewrites.split_weight, []
+
+    def spy(poset, *args):
+        sizes.append(poset.n)
+        return split(poset, *args)
+
+    monkeypatch.setattr(rewrites, "split_weight", spy)
+    code, out = run(capsys, "--max-n", "11", "random-check", "--count", "10", "--n-max", "10", "--seed", "0")
+    assert code == EXIT_OK
+    assert out == "10/10 main, 10/10 addEdge, 10/10 splitWeight\n"
+    assert 10 in sizes
+
+
+def test_qmn_max_n_is_the_default_of_max_n(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("QMN_MAX_N", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--poset", STRIP])
+    assert exc.value.code == EXIT_INPUT
+    assert "--max-n" in capsys.readouterr().err
+    n = 11
+    chain = tmp_path / "chain11.json"
+    chain.write_text(
+        json.dumps(
+            {
+                "n": n,
+                "covers": [[i, i + 1] for i in range(n - 1)],
+                "labels": list(range(1, n + 1)),
+                "weights": [1] * n,
+            }
+        )
+    )
+    monkeypatch.setenv("QMN_MAX_N", "5")
+    assert main(["verify", "--poset", str(chain)]) == EXIT_GUARD
+    assert run(capsys, "--max-n", "11", "verify", "--poset", str(chain)) == (EXIT_OK, "PASS\n")
 
 
 def test_huge_n_in_a_poset_file_is_an_input_error(capsys, tmp_path):

@@ -55,10 +55,31 @@ def test_validated_tuples_refuse_assignment():
     assert p == _chain() and shape == SkewShape((2, 1))
 
 
-@pytest.mark.parametrize("labels", [(1, 1, 3), (1, 2, 4), (0, 1, 2), (1, 2)])
+@pytest.mark.parametrize("labels", [(1, 1, 3), (1, 2, 4), (0, 1, 2), (1, 2), 5])
 def test_relabeled_validates_the_new_labels(labels):
     with pytest.raises(PosetError):
         relabeled(_chain(), labels)
+
+
+@pytest.mark.parametrize(
+    "less, labels, weights",
+    [
+        (frozenset(), 5, (1, 1)),
+        (5, (1, 2), (1, 1)),
+        (frozenset(), (1, 2), None),
+        ([[0, 1]], (1, 2), (1, 1)),
+    ],
+)
+def test_labeled_poset_refuses_a_field_that_is_not_a_collection(less, labels, weights):
+    with pytest.raises(PosetError, match="must be a collection"):
+        LabeledPoset(2, less, labels, weights)
+
+
+def test_labeled_poset_stores_its_relation_as_a_frozenset_and_the_rest_as_tuples():
+    p = LabeledPoset(2, [(0, 1)], [1, 2], iter([1, 1]))
+    assert (p.less, p.omega, p.d) == (frozenset({(0, 1)}), (1, 2), (1, 1))
+    assert p.covers == [(0, 1)] and (0, 1) in p.less
+    assert hash(p) == hash(from_covers(2, [[0, 1]], [1, 2], [1, 1]))
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
