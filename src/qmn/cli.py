@@ -4,21 +4,22 @@ Exit codes: 0 success/PASS, 1 verification FAIL (also a check that
 raises ArithmeticError), 2 input error, 3 size guard exceeded.  The guard
 is 10 elements (10 parts for identities --d) unless --max-n overrides it;
 the QMN_MAX_N environment variable, read once, is the default of --max-n.
+
+Each command imports the modules it runs inside the command, so a one-shot
+request compiles no other command's modules; `json` loads only when a
+poset file is read or --json prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import operator
 import os
 import sys
 from fractions import Fraction
 
-from . import identities, mn, qsym, rewrites, schur, surjections
 from .compositions import format_composition, parse_composition
 from .posets import DEFAULT_MAX_N, PosetError, PosetTooLarge, load_poset, random_poset
-from .qsym import QsymExpr
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -26,15 +27,23 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
-def _print_expr(expr: QsymExpr, as_json: bool):
+def _print_json(payload):
+    import json
+
+    print(json.dumps(payload))
+
+
+def _print_expr(expr, as_json: bool):
     if as_json:
-        print(json.dumps(expr.to_json_dict()))
+        _print_json(expr.to_json_dict())
     else:
         for alpha, coeff in expr.items():
             print(f"{format_composition(alpha)}\t{coeff.numerator}/{coeff.denominator}")
 
 
-def _expand_in_basis(poset, basis, max_n) -> QsymExpr:
+def _expand_in_basis(poset, basis, max_n):
+    from . import mn, qsym
+
     if basis == "M":
         return mn.mn_monomial_expansion(poset, max_n=max_n)
     expr = mn.mn_expansion(poset, max_n=max_n)
@@ -48,6 +57,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import surjections
+
     poset = load_poset(args.poset, args.max_n)
     _print_expr(surjections.monomial_expansion(poset, max_n=args.max_n), args.json)
     return EXIT_OK
@@ -55,6 +66,8 @@ def cmd_oracle(args) -> int:
 
 def _verify_poset(poset, max_n):
     """Compare the two pipelines; returns (ok, first difference or None)."""
+    from . import mn, surjections
+
     via_mn = mn.mn_monomial_expansion(poset, max_n=max_n)
     oracle = surjections.monomial_expansion(poset, max_n=max_n)
     return _compare(via_mn, oracle)
@@ -86,6 +99,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schur(args) -> int:
+    from . import schur
+
     table = schur.character_table(args.n, args.max_n)
     payload = {
         "n": args.n,
@@ -95,7 +110,7 @@ def cmd_schur(args) -> int:
         ],
     }
     if args.json:
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for row in payload["table"]:
             print(f"{row['lambda']}\t{row['mu']}\t{row['chi']}")
@@ -103,6 +118,8 @@ def cmd_schur(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from . import schur
+
     lam = parse_composition(args.lam)
     mu = parse_composition(args.mu)
     print(schur.chi(lam, mu, args.max_n))
@@ -122,6 +139,8 @@ def _refuse_unprintable_factorial(n):
 
 
 def cmd_identities(args) -> int:
+    from . import identities
+
     d = parse_composition(args.d)
     if len(d) > args.max_n:
         raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {args.max_n}")
@@ -145,7 +164,7 @@ def cmd_identities(args) -> int:
             for beta, f in sorted(freqs.items())
         }
     if args.json:
-        print(json.dumps(report))
+        _print_json(report)
     else:
         for key, value in report.items():
             print(f"{key}\t{value}")
@@ -154,6 +173,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_random_check(args) -> int:
+    from . import mn, rewrites, surjections
+
     if args.count < 1 or args.n_max < 1:
         raise ValueError("--count and --n-max must be at least 1")
     max_n = args.max_n
@@ -196,6 +217,8 @@ def cmd_random_check(args) -> int:
 def _check_rewrite(wholes, parts, combine, max_n) -> bool:
     """Whether K(P) == combine(K(p1), K(p2)) in both the oracle and the rule,
     for parts = (p1, p2) and wholes = (the oracle's K(P), the rule's K(P))."""
+    from . import mn, surjections
+
     return all(
         whole == combine(*(expand(q, max_n=max_n) for q in parts))
         for expand, whole in zip((surjections.monomial_expansion, mn.mn_expansion), wholes)

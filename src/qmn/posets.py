@@ -18,7 +18,6 @@ every other builder here calls; it checks every field it stores.  It also holds 
 
 from __future__ import annotations
 
-import json
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -198,6 +197,8 @@ def from_json_dict(data) -> LabeledPoset:
 def load_poset(path, max_n=None) -> LabeledPoset:
     """The poset in a JSON file, refused past the size guard max_n (None
     means DEFAULT_MAX_N) before its relation is closed."""
+    import json  # here, so that a run that reads no file never loads it
+
     with open(path) as fh:
         try:
             data = json.load(fh)
