@@ -2,9 +2,23 @@
 
 Names load on first use (PEP 562): `import qmn` imports no submodule, and
 `qmn.mn_expansion` or `from qmn import mn_expansion` imports `qmn.mn` then.
+The two input errors and the default size guard are defined here, where
+every module, the CLI included, finds them without loading another;
+`qmn.posets` re-exports them.
 """
 
 import importlib
+
+DEFAULT_MAX_N = 10
+
+
+class PosetError(ValueError):
+    pass
+
+
+class PosetTooLarge(ValueError):
+    """Raised when enumeration would exceed the size guard."""
+
 
 # Each submodule and the public names it exports.
 _EXPORTS = {

@@ -18,8 +18,8 @@ import os
 import sys
 from fractions import Fraction
 
+from . import DEFAULT_MAX_N, PosetError, PosetTooLarge
 from .compositions import format_composition, parse_composition
-from .posets import DEFAULT_MAX_N, PosetError, PosetTooLarge, load_poset, random_poset
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,6 +51,8 @@ def _expand_in_basis(poset, basis, max_n):
 
 
 def cmd_expand(args) -> int:
+    from .posets import load_poset
+
     poset = load_poset(args.poset, args.max_n)
     _print_expr(_expand_in_basis(poset, args.basis, args.max_n), args.json)
     return EXIT_OK
@@ -58,6 +60,7 @@ def cmd_expand(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import surjections
+    from .posets import load_poset
 
     poset = load_poset(args.poset, args.max_n)
     _print_expr(surjections.monomial_expansion(poset, max_n=args.max_n), args.json)
@@ -89,6 +92,8 @@ def _describe(diff) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .posets import load_poset
+
     poset = load_poset(args.poset, args.max_n)
     ok, diff = _verify_poset(poset, args.max_n)
     if ok:
@@ -174,6 +179,7 @@ def cmd_identities(args) -> int:
 
 def cmd_random_check(args) -> int:
     from . import mn, rewrites, surjections
+    from .posets import random_poset
 
     if args.count < 1 or args.n_max < 1:
         raise ValueError("--count and --n-max must be at least 1")

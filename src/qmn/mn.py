@@ -17,10 +17,13 @@ ever converted on its own.  `mn_partition_expansion` keeps only the terms
 indexed by partitions, which is all a character table reads: its fold
 carries the previous block's weight and walks only the chains whose block
 weights weakly decrease, so a heavier block is refused before it is tagged.
-`block_strip_data` is the single tagger: it tags the block of a poset
-given by an element mask, and every strip query goes through it.  It reads
-the block's Hasse edges from `LabeledPoset.lower_covers`, the routine that
-also gives the poset's own covers.  Each expansion passes its `max_n` to
+`_tag_masks` is the single tagger: it gives the masks of the -1 and +1
+elements of the block of a poset on an element mask, and every strip
+query goes through it.  It reads the block's Hasse edges from
+`LabeledPoset.lower_covers`, the routine that also gives the poset's own
+covers, and classifies them with `LabeledPoset.strict_below`.  The rule's
+block value reads sign and root straight off the two masks;
+`block_strip_data` builds the full `StripData` from them.  Each expansion passes its `max_n` to
 `ChainEngine`, which checks the size guard when it is built.
 """
 
@@ -32,7 +35,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
-from .posets import LabeledPoset, _bits, is_naturally_labeled, mask_elements
+from .posets import LabeledPoset, _bits, is_naturally_labeled
 from .qsym import QsymExpr
 from .surjections import ChainEngine, _surjection_from_chain
 
@@ -63,6 +66,23 @@ def is_gbs_via_hasse(p: LabeledPoset) -> bool:
     return strip_data(p).is_gbs
 
 
+def _tag_masks(p: LabeledPoset, mask):
+    """The masks (minus, plus) of the block of p on the elements of `mask`.
+
+    For each Hasse edge a covered by b inside the block, a is tagged -1 when
+    the edge is strict, and b is tagged +1 when it is natural.  Read per
+    element b: its strict lower covers are `lower & strict_below[b]`, and b
+    is a top of a natural edge when any lower cover lies outside that mask.
+    """
+    strict_below = p.strict_below
+    minus = plus = 0
+    for b, lower in p.lower_covers(mask):
+        minus |= lower & strict_below[b]
+        if lower & ~strict_below[b]:
+            plus |= 1 << b
+    return minus, plus
+
+
 def block_strip_data(p: LabeledPoset, mask) -> StripData:
     """Strip data of the sub-poset that p induces on the elements of `mask`.
 
@@ -71,13 +91,7 @@ def block_strip_data(p: LabeledPoset, mask) -> StripData:
     are those of the block (`lower_covers`), classified by the ambient
     labels, since only their relative order matters.
     """
-    minus = plus = 0
-    for b, lower in p.lower_covers(mask):
-        for a in _bits(lower):  # a is covered by b in the block
-            if p.omega[a] > p.omega[b]:
-                minus |= 1 << a
-            else:
-                plus |= 1 << b
+    minus, plus = _tag_masks(p, mask)
     if minus & plus:
         return StripData(is_gbs=False)
     tags = tuple(
@@ -96,11 +110,14 @@ def strip_data(p: LabeledPoset) -> StripData:
 
 
 def _block_contribution(p: LabeledPoset, block_mask):
-    """sign * d(root) of an induced block, or 0 if the block is not rooted."""
-    sd = block_strip_data(p, block_mask)
-    if not sd.is_rooted:
+    """sign * d(root) of an induced block, or 0 if the block is not rooted:
+    the block is a strip when no element is tagged both -1 and +1, and
+    rooted when exactly one element, the root, is tagged neither."""
+    minus, plus = _tag_masks(p, block_mask)
+    star = block_mask & ~(minus | plus)
+    if minus & plus or star.bit_count() != 1:
         return 0
-    return sd.sign * p.d[mask_elements(block_mask)[sd.root]]
+    return (-1) ** minus.bit_count() * p.d[star.bit_length() - 1]
 
 
 def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:

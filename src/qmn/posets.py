@@ -8,8 +8,9 @@ a positive integer weight.
 This is the one module that turns the order relation into bitmasks over
 elements, and the one that checks or closes a relation: `_masks` checks
 each pair as it sets its bit.  `LabeledPoset.below` holds each element's
-predecessors, and `LabeledPoset.lower_covers` is the one Hasse routine,
-for the whole poset or the subposet on any mask.  Validation and the
+predecessors, `LabeledPoset.strict_below` those it lies above across a
+strict relation, and `LabeledPoset.lower_covers` is the one Hasse
+routine, for the whole poset or the subposet on any mask.  Validation and the
 closure run on the same masks.  `LabeledPoset`, a named tuple, is
 validated by its constructor `LabeledPoset(n, less, omega, d)`, which
 every other builder here calls; it checks every field it stores.  It also holds the size guard, which
@@ -18,20 +19,11 @@ every other builder here calls; it checks every field it stores.  It also holds 
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-DEFAULT_MAX_N = 10
-
-
-class PosetError(ValueError):
-    pass
-
-
-class PosetTooLarge(ValueError):
-    """Raised when enumeration would exceed the size guard."""
+from . import DEFAULT_MAX_N, PosetError, PosetTooLarge  # re-exported here
 
 
 def check_size_guard(n, max_n=None):
@@ -160,6 +152,16 @@ class LabeledPoset(namedtuple("LabeledPoset", "n less omega d")):
         return self.omega[a] > self.omega[b]
 
     @cached_property
+    def strict_below(self):
+        """strict_below[b] is the mask of the a <_P b with omega(a) > omega(b):
+        the elements that b lies above across a strict relation."""
+        omega = self.omega
+        return tuple(
+            sum(1 << a for a in _bits(self.below[b]) if omega[a] > omega[b])
+            for b in range(self.n)
+        )
+
+    @cached_property
     def strict_pairs(self):
         """All comparable pairs (a, b), a <_P b, forcing f(a) < f(b)."""
         return frozenset((a, b) for a, b in self.less if self.omega[a] > self.omega[b])
@@ -266,6 +268,8 @@ def random_poset(n, edge_density, seed) -> LabeledPoset:
     """
     if n < 1:
         raise PosetError("n must be >= 1")
+    import random  # here, so that a run that draws no poset never loads it
+
     density = Fraction(edge_density)
     rng = random.Random(seed)
     order = list(range(n))

@@ -16,7 +16,8 @@ uses one to write the rule in the monomial basis while it walks.
 `ChainEngine.chains` lists the chains one by one for the explicit
 enumerators, which tests compare the fold against.  Bitmasks
 over elements keep this fast; the blocks above an ideal are built along
-one linear extension, in time proportional to n times their number.
+one linear extension, each with its weight, in time proportional to n
+times their number, and `fold` builds them once per ideal.
 Every walk starts by building a `ChainEngine`, the one place that checks
 the size guard for it.  `OrderSurjection` is a plain named tuple, built
 only from a chain of the walk; the poset it reads was validated by its
@@ -31,7 +32,6 @@ from .posets import (  # DEFAULT_MAX_N and PosetTooLarge are re-exported
     DEFAULT_MAX_N,
     LabeledPoset,
     PosetTooLarge,
-    _bits,
     check_size_guard,
     mask_elements,
     topological_order,
@@ -65,8 +65,8 @@ class ChainEngine:
 
     A surjection is a chain of ideals, so every expansion is a sum over
     chains of a product of block values; `fold` computes it per ideal.
-    The successors of an ideal are built along one linear extension, in
-    time proportional to n times their number.  Building an engine checks
+    The successors of an ideal and their weights are built along one
+    linear extension, in time proportional to n times their number.  Building an engine checks
     the size guard `max_n`, so every walk refuses an oversized poset first.
     """
 
@@ -76,15 +76,22 @@ class ChainEngine:
         self.full = (1 << p.n) - 1
         self._order = topological_order(p)
 
-    def successors(self, ideal):
-        """The sorted nonempty blocks B with ideal | B again an ideal.  Along a
-        linear extension, x joins each block b so far when all below x is in ideal | b."""
-        below = self.p.below
-        out = [0]
+    def weighted_successors(self, ideal):
+        """The pairs (B, wtd(B)) for the nonempty blocks B with ideal | B again
+        an ideal, sorted by B.  Along a linear extension, x joins each block b
+        so far when all below x is in ideal | b, and adds d[x] to its weight."""
+        below, d = self.p.below, self.p.d
+        out = [(0, 0)]
         for x in self._order:
             if not ideal >> x & 1:
-                out += [b | 1 << x for b in out if not below[x] & ~(ideal | b)]
-        return sorted(out[1:])
+                bit, dx = 1 << x, d[x]
+                out += [(b | bit, w + dx) for b, w in out if not below[x] & ~(ideal | b)]
+        out.sort()
+        return out[1:]
+
+    def successors(self, ideal):
+        """The sorted nonempty blocks B with ideal | B again an ideal."""
+        return [block for block, _ in self.weighted_successors(ideal)]
 
     def chains(self):
         """Yield all chains of blocks partitioning P (as mask tuples)."""
@@ -112,12 +119,14 @@ class ChainEngine:
         and F(0, 0) is the answer.  The default step `_one_part` keeps s at 0
         and lets every block add the part wtd(B), so F(0, 0) maps each
         weighted level composition to its sum of products (Stanley, EC1 3.4
-        and 4.7).  A step that lists no moves refuses the block.  A block is
-        valued once per mask, the first time one of its moves is used, so a
-        block every step refuses is never valued; blocks valued 0 are pruned.
+        and 4.7).  A step that lists no moves refuses the block.  Each ideal's
+        blocks and their weights are listed once per call, by
+        `weighted_successors`, and shared by every state on that ideal.  A
+        block is valued once per mask, the first time one of its moves is
+        used, so a block every step refuses is never valued; blocks valued 0
+        are pruned.  Both caches are freed when the call returns.
         """
-        d = self.p.d
-        blocks = {}
+        listed, values = {}, {}
         states = {(self.full, 0): {(): 1}}
 
         def build(ideal, s, rest):
@@ -125,17 +134,17 @@ class ChainEngine:
             if out is not None:
                 return out
             out = {}
-            for block in self.successors(ideal):
-                entry = blocks.get(block)
-                if entry is None:
-                    entry = blocks[block] = [None, sum(d[x] for x in _bits(block))]
-                value, w = entry
+            blocks = listed.get(ideal)
+            if blocks is None:
+                blocks = listed[ideal] = self.weighted_successors(ideal)
+            for block, w in blocks:
                 after = rest - w
                 moves = step(s, w, after)
                 if not moves:
                     continue
+                value = values.get(block)
                 if value is None:
-                    value = entry[0] = block_value(block)
+                    value = values[block] = block_value(block)
                 if value == 0:
                     continue
                 for carry, factor, head in moves:
@@ -146,7 +155,7 @@ class ChainEngine:
             states[ideal, s] = out
             return out
 
-        return build(0, 0, sum(d))
+        return build(0, 0, sum(self.p.d))
 
 
 def enumerate_order_surjections(p: LabeledPoset, ell, max_n=None):

@@ -13,6 +13,8 @@ from qmn.mn import (
     TAG_MINUS,
     TAG_PLUS,
     TAG_STAR,
+    _block_contribution,
+    _tag_masks,
     block_strip_data,
     is_generalized_border_strip,
     is_gbs_via_hasse,
@@ -197,6 +199,39 @@ def test_block_tagger_matches_induced_subposet(cross_check_posets):
         via_mask = {m: block_strip_data(p, m) for m in blocks}
         via_subposet = {m: strip_data(induced_subposet(p, mask_elements(m))) for m in blocks}
         assert via_mask == via_subposet, p.to_json_dict()
+
+
+def _tag_masks_by_pairs(p, mask):
+    """(minus, plus) of the block on `mask`, read pair by pair: for each a
+    covered by b inside the block, a is in minus when omega(a) > omega(b),
+    else b is in plus."""
+    inside = mask_elements(mask)
+    minus = plus = 0
+    for a in inside:
+        for b in inside:
+            covered = (a, b) in p.less and not any(
+                (a, c) in p.less and (c, b) in p.less for c in inside
+            )
+            if covered and p.omega[a] > p.omega[b]:
+                minus |= 1 << a
+            elif covered:
+                plus |= 1 << b
+    return minus, plus
+
+
+def test_tag_masks_and_block_values_match_the_definitions(cross_check_posets):
+    shapes = [shape_to_poset(SkewShape(lam)) for n in range(1, 8) for lam in partitions_of(n)]
+    rooted = unrooted = 0
+    for p in cross_check_posets + shapes:
+        blocks = {block for chain in ChainEngine(p).chains() for block in chain}
+        for m in sorted(blocks):
+            assert _tag_masks(p, m) == _tag_masks_by_pairs(p, m), (p.to_json_dict(), m)
+            sd = block_strip_data(p, m)
+            expected = sd.sign * p.d[mask_elements(m)[sd.root]] if sd.is_rooted else 0
+            assert _block_contribution(p, m) == expected, (p.to_json_dict(), m)
+            rooted += sd.is_rooted
+            unrooted += not sd.is_rooted
+    assert rooted and unrooted
 
 
 @pytest.mark.parametrize("name", ["weighted_strip.json", "cancellation.json"])

@@ -8,6 +8,8 @@ import pytest
 
 from qmn.compositions import coarsenings, partitions_of
 from qmn.mn import (
+    _block_contribution,
+    _weakly_decreasing,
     mn_expansion,
     mn_monomial_expansion,
     mn_partition_expansion,
@@ -20,10 +22,12 @@ from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import (
     ChainEngine,
     PosetTooLarge,
+    _one_part,
     enumerate_order_surjections,
     enumerate_partition_surjections,
     monomial_expansion,
 )
+from qmn.posets import mask_elements
 
 weak_chain = from_covers(2, [(0, 1)], [1, 2], [1, 1])
 strict_chain = from_covers(2, [(0, 1)], [2, 1], [1, 1])
@@ -159,3 +163,71 @@ def test_successors_match_the_definition(cross_check_posets):
         for ideal in [0] + _successors_by_pairs(p, 0):
             expected = _successors_by_pairs(p, ideal)
             assert engine.successors(ideal) == expected, (p.to_json_dict(), ideal)
+
+
+def _weight(p, block):
+    return sum(p.d[x] for x in mask_elements(block))
+
+
+def test_weighted_successors_carry_each_block_weight(cross_check_posets):
+    assert any(max(p.d) > 1 for p in cross_check_posets)
+    for p in cross_check_posets:
+        engine = ChainEngine(p)
+        for ideal in [0] + _successors_by_pairs(p, 0):
+            expected = [(block, _weight(p, block)) for block in _successors_by_pairs(p, ideal)]
+            assert engine.weighted_successors(ideal) == expected, (p.to_json_dict(), ideal)
+
+
+def _fold_per_state(engine, block_value, step, calls):
+    """The fold with each state's blocks listed anew, and every step call
+    recorded: F(0, 0) and the states built besides the final (P, 0)."""
+    p = engine.p
+    states = {(engine.full, 0): {(): 1}}
+
+    def build(ideal, s, rest):
+        if (ideal, s) not in states:
+            out = {}
+            for block in engine.successors(ideal):
+                w = _weight(p, block)
+                calls.append((s, w, rest - w))
+                moves = step(s, w, rest - w)
+                value = block_value(block) if moves else 0
+                for carry, factor, head in moves if value else ():
+                    for tail, coeff in build(ideal | block, carry, rest - w).items():
+                        out[head + tail] = out.get(head + tail, 0) + value * factor * coeff
+            states[ideal, s] = out
+        return states[ideal, s]
+
+    return build(0, 0, sum(p.d)), set(states) - {(engine.full, 0)}
+
+
+def _open_run(s, w, rest):
+    """A step that carries the open run's sum, so an ideal holds many states."""
+    return ((0, 1, (s + w,)), (s + w, 1, ()))
+
+
+@pytest.mark.parametrize("step", [_one_part, _weakly_decreasing, _open_run])
+def test_fold_lists_each_ideal_once(cross_check_posets, step):
+    shapes = [shape_to_poset(SkewShape(lam)) for lam in partitions_of(6)]
+    several = 0
+    for p in cross_check_posets + shapes:
+        engine = ChainEngine(p)
+        listed, calls, expected_calls = [], [], []
+
+        def spy(ideal, builder=engine.weighted_successors):
+            listed.append(ideal)
+            return builder(ideal)
+
+        def recorded(s, w, rest):
+            calls.append((s, w, rest))
+            return step(s, w, rest)
+
+        engine.weighted_successors = spy
+        value = partial(_block_contribution, p)
+        terms = engine.fold(value, recorded)
+        expected, states = _fold_per_state(ChainEngine(p), value, step, expected_calls)
+        assert terms == expected, p.to_json_dict()
+        assert Counter(calls) == Counter(expected_calls), p.to_json_dict()
+        assert sorted(listed) == sorted({ideal for ideal, _ in states}), p.to_json_dict()
+        several += len(states) > len(listed)
+    assert several or step is _one_part
