@@ -50,19 +50,23 @@ def _expand_in_basis(poset, basis, max_n):
     return qsym.psihat_to_psi(expr) if basis == "Psi" else expr
 
 
-def cmd_expand(args) -> int:
+def _load(args):
+    """The poset in the --poset file, refused past the size guard."""
     from .posets import load_poset
 
-    poset = load_poset(args.poset, args.max_n)
+    return load_poset(args.poset, args.max_n)
+
+
+def cmd_expand(args) -> int:
+    poset = _load(args)
     _print_expr(_expand_in_basis(poset, args.basis, args.max_n), args.json)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     from . import surjections
-    from .posets import load_poset
 
-    poset = load_poset(args.poset, args.max_n)
+    poset = _load(args)
     _print_expr(surjections.monomial_expansion(poset, max_n=args.max_n), args.json)
     return EXIT_OK
 
@@ -92,9 +96,7 @@ def _describe(diff) -> str:
 
 
 def cmd_verify(args) -> int:
-    from .posets import load_poset
-
-    poset = load_poset(args.poset, args.max_n)
+    poset = _load(args)
     ok, diff = _verify_poset(poset, args.max_n)
     if ok:
         print("PASS")

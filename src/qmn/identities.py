@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -311,6 +310,8 @@ def staircase_monte_carlo(d, samples, seed):
     columns = tuple(accumulate(check_composition(d)))
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    import random  # here, so that a report without samples never loads it
+
     rng = random.Random(seed)
     counts = Counter(
         _classify(columns, [rng.randint(1, c) for c in columns]) for _ in range(samples)

@@ -23,8 +23,9 @@ query goes through it.  It reads the block's Hasse edges from
 `LabeledPoset.lower_covers`, the routine that also gives the poset's own
 covers, and classifies them with `LabeledPoset.strict_below`.  The rule's
 block value reads sign and root straight off the two masks;
-`block_strip_data` builds the full `StripData` from them.  Each expansion passes its `max_n` to
-`ChainEngine`, which checks the size guard when it is built.
+`block_strip_data` builds the full `StripData` from them.  Each expansion
+passes its `max_n` to `ChainEngine`, which checks the size guard when it
+is built.
 """
 
 from __future__ import annotations

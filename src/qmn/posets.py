@@ -10,8 +10,8 @@ elements, and the one that checks or closes a relation: `_masks` checks
 each pair as it sets its bit.  `LabeledPoset.below` holds each element's
 predecessors, `LabeledPoset.strict_below` those it lies above across a
 strict relation, and `LabeledPoset.lower_covers` is the one Hasse
-routine, for the whole poset or the subposet on any mask.  Validation and the
-closure run on the same masks.  `LabeledPoset`, a named tuple, is
+routine, for the whole poset or the subposet on any mask.  Validation
+and the closure run on the same masks.  `LabeledPoset`, a named tuple, is
 validated by its constructor `LabeledPoset(n, less, omega, d)`, which
 every other builder here calls; it checks every field it stores.  It also holds the size guard, which
 `load_poset` checks before a file's relation is closed.

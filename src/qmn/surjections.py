@@ -66,8 +66,9 @@ class ChainEngine:
     A surjection is a chain of ideals, so every expansion is a sum over
     chains of a product of block values; `fold` computes it per ideal.
     The successors of an ideal and their weights are built along one
-    linear extension, in time proportional to n times their number.  Building an engine checks
-    the size guard `max_n`, so every walk refuses an oversized poset first.
+    linear extension, in time proportional to n times their number.
+    Building an engine checks the size guard `max_n`, so every walk
+    refuses an oversized poset first.
     """
 
     def __init__(self, p: LabeledPoset, max_n=None):

@@ -100,14 +100,17 @@ def test_import_qmn_loads_no_submodule_until_a_name_is_used():
     [
         (
             ("identities", "--d", "1,2,2"),
-            ("qmn.mn", "qmn.qsym", "qmn.surjections", "qmn.rewrites", "qmn.schur", "json"),
+            (
+                "qmn.posets", "qmn.mn", "qmn.qsym", "qmn.surjections", "qmn.rewrites",
+                "qmn.schur", "json", "random",
+            ),
         ),
         (
             ("verify", "--poset", "data/weighted_strip.json"),
-            ("qmn.schur", "qmn.identities", "qmn.rewrites"),
+            ("qmn.schur", "qmn.identities", "qmn.rewrites", "random"),
         ),
-        (("schur", "--n", "4"), ("qmn.identities", "qmn.rewrites")),
-        (("chi", "--lam", "1", "--mu", "1"), ("qmn.identities", "qmn.rewrites")),
+        (("schur", "--n", "4"), ("qmn.identities", "qmn.rewrites", "random")),
+        (("chi", "--lam", "1", "--mu", "1"), ("qmn.identities", "qmn.rewrites", "random")),
     ],
     ids=["identities", "verify", "schur", "chi"],
 )
@@ -120,27 +123,6 @@ def test_a_command_loads_only_its_own_modules(argv, absent):
     returncode, out, err = _run_bare(code, ",".join(absent), *argv)
     assert (returncode, err) == (0, "")
     assert out.splitlines()[-1] == "0 []"
-
-
-@pytest.mark.parametrize(
-    "argv, absent",
-    [
-        (("identities", "--d", "1,2,2"), "qmn.posets"),
-        (("verify", "--poset", "data/weighted_strip.json"), "random"),
-        (("schur", "--n", "4"), "random"),
-    ],
-    ids=["identities-posets", "verify-random", "schur-random"],
-)
-def test_posets_and_random_load_only_where_they_run(argv, absent):
-    """`identities` reads no poset, and only `random-check` draws one."""
-    code = (
-        "import sys, qmn.cli\n"
-        "code = qmn.cli.main(sys.argv[2:])\n"
-        "print(code, sys.argv[1] in sys.modules)\n"
-    )
-    returncode, out, err = _run_bare(code, absent, *argv)
-    assert (returncode, err) == (0, "")
-    assert out.splitlines()[-1] == "0 False"
 
 
 def test_posets_re_exports_the_errors_and_the_guard():

@@ -16,7 +16,7 @@ from qmn.mn import (
     natural_mn_expansion,
     rooted_surjections,
 )
-from qmn.posets import from_covers, natural_relabeling, random_poset
+from qmn.posets import from_covers, mask_elements, natural_relabeling, random_poset
 from qmn.qsym import QsymExpr
 from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import (
@@ -27,7 +27,6 @@ from qmn.surjections import (
     enumerate_partition_surjections,
     monomial_expansion,
 )
-from qmn.posets import mask_elements
 
 weak_chain = from_covers(2, [(0, 1)], [1, 2], [1, 1])
 strict_chain = from_covers(2, [(0, 1)], [2, 1], [1, 1])
