@@ -109,18 +109,13 @@ def cmd_schur(args) -> int:
     from . import schur
 
     table = schur.character_table(args.n, args.max_n)
-    payload = {
-        "n": args.n,
-        "table": [
-            {"lambda": format_composition(lam), "mu": format_composition(mu), "chi": value}
-            for lam, mu, value in table
-        ],
-    }
+    names = {lam: format_composition(lam) for lam in dict.fromkeys(lam for lam, _, _ in table)}
+    rows = [(names[lam], names[mu], value) for lam, mu, value in table]
     if args.json:
-        _print_json(payload)
+        entries = [{"lambda": lam, "mu": mu, "chi": value} for lam, mu, value in rows]
+        _print_json({"n": args.n, "table": entries})
     else:
-        for row in payload["table"]:
-            print(f"{row['lambda']}\t{row['mu']}\t{row['chi']}")
+        sys.stdout.write("".join(f"{lam}\t{mu}\t{value}\n" for lam, mu, value in rows))
     return EXIT_OK
 
 

@@ -19,20 +19,21 @@ carries the previous block's weight and walks only the chains whose block
 weights weakly decrease, so a heavier block is refused before it is tagged.
 `_tag_masks` is the single tagger: it gives the masks of the -1 and +1
 elements of the block of a poset on an element mask, and every strip
-query goes through it.  It reads the block's Hasse edges from
-`LabeledPoset.lower_covers`, the routine that also gives the poset's own
-covers, and classifies them with `LabeledPoset.strict_below`.  The rule's
-block value reads sign and root straight off the two masks;
-`block_strip_data` builds the full `StripData` from them.  Each expansion
-passes its `max_n` to `ChainEngine`, which checks the size guard when it
-is built.
+query goes through it.  Every mask it tags is convex, a block of a chain
+of order ideals or the whole poset, so the block's Hasse edges are the
+poset's own edges inside it: it reads them from the strict and natural
+lower covers of each element, `LabeledPoset.cover_masks`, derived once
+per poset.  The rule's block value reads sign and root straight off the
+two masks; `block_strip_data` builds the full `StripData` from them.
+Each expansion passes its `max_n` to `ChainEngine`, which checks the
+size guard when it is built, and wraps the fold's output with
+`QsymExpr._from_fold`.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
@@ -70,27 +71,33 @@ def is_gbs_via_hasse(p: LabeledPoset) -> bool:
 def _tag_masks(p: LabeledPoset, mask):
     """The masks (minus, plus) of the block of p on the elements of `mask`.
 
-    For each Hasse edge a covered by b inside the block, a is tagged -1 when
-    the edge is strict, and b is tagged +1 when it is natural.  Read per
-    element b: its strict lower covers are `lower & strict_below[b]`, and b
-    is a top of a natural edge when any lower cover lies outside that mask.
+    `mask` must be convex: a block of a chain of order ideals, which is the
+    difference of two ideals, or the whole poset.  For each Hasse edge a
+    covered by b inside the block, a is tagged -1 when the edge is strict,
+    and b is tagged +1 when it is natural.  In a convex block every element
+    between a and b lies in the block, so the block's Hasse edges are the
+    poset's edges with both ends in it: per element b, its strict and
+    natural lower covers are its masks in `LabeledPoset.cover_masks`
+    restricted to the block.
     """
-    strict_below = p.strict_below
+    strict, natural = p.cover_masks
     minus = plus = 0
-    for b, lower in p.lower_covers(mask):
-        minus |= lower & strict_below[b]
-        if lower & ~strict_below[b]:
+    for b in _bits(mask):
+        minus |= strict[b]
+        if natural[b] & mask:
             plus |= 1 << b
-    return minus, plus
+    return minus & mask, plus
 
 
 def block_strip_data(p: LabeledPoset, mask) -> StripData:
     """Strip data of the sub-poset that p induces on the elements of `mask`.
 
-    Equals strip_data(induced_subposet(p, mask_elements(mask))): the tags
-    and the root index the block's elements in sorted order.  Hasse edges
-    are those of the block (`lower_covers`), classified by the ambient
-    labels, since only their relative order matters.
+    `mask` must be convex, as for `_tag_masks`: a block of a chain of order
+    ideals, or the whole poset.  Equals
+    strip_data(induced_subposet(p, mask_elements(mask))): the tags and the
+    root index the block's elements in sorted order.  Hasse edges are those
+    of the block, classified by the ambient labels, since only their
+    relative order matters.
     """
     minus, plus = _tag_masks(p, mask)
     if minus & plus:
@@ -129,7 +136,7 @@ def mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     the weighted level composition.
     """
     engine = ChainEngine(p, max_n)
-    return QsymExpr("PsiHat", engine.fold(lambda block: _block_contribution(p, block)))
+    return QsymExpr._from_fold("PsiHat", engine.fold(lambda block: _block_contribution(p, block)))
 
 
 def _weakly_decreasing(s, w, rest):
@@ -137,7 +144,7 @@ def _weakly_decreasing(s, w, rest):
     previous block's weight s (0 before the first block and after the last)."""
     if s and w > s:
         return ()
-    return ((w if rest else 0, 1, (w,)),)
+    return ((w if rest else 0, 1, w),)
 
 
 def mn_partition_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
@@ -149,7 +156,7 @@ def mn_partition_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     """
     engine = ChainEngine(p, max_n)
     terms = engine.fold(lambda block: _block_contribution(p, block), _weakly_decreasing)
-    return QsymExpr("PsiHat", terms)
+    return QsymExpr._from_fold("PsiHat", terms)
 
 
 def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
@@ -170,10 +177,10 @@ def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     def run_step(s, w, rest):
         t = s + w
         keep = fact[t - 1] // fact[s]
-        return ((0, keep * comb(t + rest, t), (t,)), (t, keep, ()))
+        return ((0, keep * comb(t + rest, t), t), (t, keep, 0))
 
     terms = engine.fold(lambda block: _block_contribution(p, block), run_step)
-    return QsymExpr("M", {beta: Fraction(c, fact[-1]) for beta, c in terms.items()})
+    return QsymExpr._from_fold("M", terms, fact[-1])
 
 
 def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
@@ -191,7 +198,7 @@ def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
         minima = [x for x in _bits(block) if p.below[x] & block == 0]
         return p.d[minima[0]] if len(minima) == 1 else 0
 
-    return QsymExpr("PsiHat", engine.fold(minimum_weight))
+    return QsymExpr._from_fold("PsiHat", engine.fold(minimum_weight))
 
 
 def rooted_surjections(p: LabeledPoset, max_n=None):

@@ -10,7 +10,9 @@ elements, and the one that checks or closes a relation: `_masks` checks
 each pair as it sets its bit.  `LabeledPoset.below` holds each element's
 predecessors, `LabeledPoset.strict_below` those it lies above across a
 strict relation, and `LabeledPoset.lower_covers` is the one Hasse
-routine, for the whole poset or the subposet on any mask.  Validation
+routine, for the whole poset or the subposet on any mask.
+`LabeledPoset.cover_masks` splits each element's lower covers in the
+whole poset into strict and natural ones, once per poset.  Validation
 and the closure run on the same masks.  `LabeledPoset`, a named tuple, is
 validated by its constructor `LabeledPoset(n, less, omega, d)`, which
 every other builder here calls; it checks every field it stores.  It also holds the size guard, which
@@ -160,6 +162,16 @@ class LabeledPoset(namedtuple("LabeledPoset", "n less omega d")):
             sum(1 << a for a in _bits(self.below[b]) if omega[a] > omega[b])
             for b in range(self.n)
         )
+
+    @cached_property
+    def cover_masks(self):
+        """(strict, natural): strict[b] is the mask of the elements that b
+        covers across a strict Hasse edge, natural[b] across a natural one."""
+        strict, natural = [], []
+        for b, lower in self.lower_covers((1 << self.n) - 1):
+            strict.append(lower & self.strict_below[b])
+            natural.append(lower & ~self.strict_below[b])
+        return tuple(strict), tuple(natural)
 
     @cached_property
     def strict_pairs(self):

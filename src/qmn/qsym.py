@@ -7,8 +7,11 @@ power sum basis are converted on demand by `psi_to_monomial`, the generic
 converter, which expands each term over all cuts of its composition.  The
 power sum rule of a poset has a faster route to the monomial basis,
 `mn.mn_monomial_expansion`, which converts inside the ideal-lattice fold.
-`QsymExpr(basis, terms)` is the one constructor: it checks the basis and
-each composition and drops zero coefficients.
+`QsymExpr(basis, terms)` is the checked constructor: it checks the basis
+and each composition and drops zero coefficients.  The output of the
+ideal-lattice fold is wrapped by `QsymExpr._from_fold` instead, which
+drops zeros and stores `Fraction`s the same way but checks no key, since
+the fold builds only compositions.
 """
 
 from __future__ import annotations
@@ -47,6 +50,16 @@ class QsymExpr:
                 clean[alpha] = coeff
         self.basis = basis
         self.terms = clean
+
+    @classmethod
+    def _from_fold(cls, basis, terms, denominator=None):
+        """The expression of a fold's integer terms, each divided by
+        `denominator` (None for 1); equal to QsymExpr(basis, that map).
+        Every key is a composition by construction, so none is checked."""
+        self = object.__new__(cls)
+        self.basis = basis
+        self.terms = {alpha: Fraction(c, denominator) for alpha, c in terms.items() if c}
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -12,7 +12,12 @@ oracle here, and the power sum rules in `mn`, which differ only in the
 value they give each block.  Every walk takes one path: a step lists
 each block's moves, and the plain step adds the block's weight as one
 part.  Other steps carry a small value per ideal along the chain; `mn`
-uses one to write the rule in the monomial basis while it walks.
+uses one to write the rule in the monomial basis while it walks.  A
+move's head is a part size, 0 for no part.  Inside the fold a
+composition is the integer whose bits are its partial sums less one, so
+a part is put in front by a shift and an or; the keys are decoded once, when the
+fold returns, and the expansions wrap that map with
+`QsymExpr._from_fold`, which checks no key.
 `ChainEngine.chains` lists the chains one by one for the explicit
 enumerators, which tests compare the fold against.  Bitmasks
 over elements keep this fast; the blocks above an ideal are built along
@@ -57,7 +62,7 @@ def _surjection_from_chain(p: LabeledPoset, chain) -> OrderSurjection:
 
 def _one_part(s, w, rest):
     """The plain fold step: a block adds its weight w as one part."""
-    return ((0, 1, (w,)),)
+    return ((0, 1, w),)
 
 
 class ChainEngine:
@@ -114,8 +119,8 @@ class ChainEngine:
         of weight w = wtd(B) leaves the weight `rest` of P outside I | B, and
         `step(s, w, rest)` lists its moves as triples (s', factor, head): a
         move goes to the state (I | B, s'), multiplies by value(B) * factor
-        and puts head in front of the suffix.  The map F(I, s) of suffix
-        compositions is built once per state,
+        and puts the part head in front of the suffix, or no part when head
+        is 0.  The map F(I, s) of suffix compositions is built once per state,
         F(I, s) = sum over B and moves of value(B) * factor * (head + F(I | B, s')),
         and F(0, 0) is the answer.  The default step `_one_part` keeps s at 0
         and lets every block add the part wtd(B), so F(0, 0) maps each
@@ -126,9 +131,14 @@ class ChainEngine:
         block is valued once per mask, the first time one of its moves is
         used, so a block every step refuses is never valued; blocks valued 0
         are pruned.  Both caches are freed when the call returns.
+
+        Inside the walk a suffix is the integer whose bits are its partial
+        sums less one, so putting the part h in front of the key T
+        is `T << h | 1 << (h - 1)`, and no tuple is built or hashed.  The
+        keys of F(0, 0) are decoded once, on return.
         """
         listed, values = {}, {}
-        states = {(self.full, 0): {(): 1}}
+        states = {(self.full, 0): {0: 1}}
 
         def build(ideal, s, rest):
             out = states.get((ideal, s))
@@ -150,13 +160,26 @@ class ChainEngine:
                     continue
                 for carry, factor, head in moves:
                     scale = value * factor
+                    bit = 1 << head >> 1  # the bit of the part head, none for 0
                     for tail, coeff in build(ideal | block, carry, after).items():
-                        key = head + tail
+                        key = tail << head | bit
                         out[key] = out.get(key, 0) + scale * coeff
             states[ideal, s] = out
             return out
 
-        return build(0, 0, sum(self.p.d))
+        return {_composition(key): coeff for key, coeff in build(0, 0, sum(self.p.d)).items()}
+
+
+def _composition(key):
+    """The composition whose partial sums less one are the bits of key."""
+    parts, done = [], 0
+    while key:
+        low = key & -key
+        total = low.bit_length()
+        parts.append(total - done)
+        done = total
+        key ^= low
+    return tuple(parts)
 
 
 def enumerate_order_surjections(p: LabeledPoset, ell, max_n=None):
@@ -199,4 +222,4 @@ def monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     def no_strict_pair(block):
         return 0 if any(block & pair == pair for pair in strict) else 1
 
-    return QsymExpr("M", engine.fold(no_strict_pair))
+    return QsymExpr._from_fold("M", engine.fold(no_strict_pair))

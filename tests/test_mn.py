@@ -186,7 +186,7 @@ def test_fold_values_only_the_blocks_a_step_admits():
             return 1
 
         def singletons_only(s, w, rest):
-            return ((0, 1, (w,)),) if w == 1 else ()
+            return ((0, 1, w),) if w == 1 else ()
 
         terms = ChainEngine(p).fold(value, singletons_only)
         assert valued and all(block.bit_count() == 1 for block in valued)
@@ -232,6 +232,38 @@ def test_tag_masks_and_block_values_match_the_definitions(cross_check_posets):
             rooted += sd.is_rooted
             unrooted += not sd.is_rooted
     assert rooted and unrooted
+
+
+def _is_convex(p, mask):
+    """No c outside the mask lies between two elements a < c < b of it."""
+    return not any(
+        p.below[c] & mask and any(p.below[b] >> c & 1 for b in mask_elements(mask))
+        for c in range(p.n)
+        if not mask >> c & 1
+    )
+
+
+def _tag_masks_by_lower_covers(p, mask):
+    """(minus, plus) of the block on `mask`, from the covers of the subposet
+    on the mask itself, as `LabeledPoset.lower_covers` gives them."""
+    minus = plus = 0
+    for b, lower in p.lower_covers(mask):
+        minus |= lower & p.strict_below[b]
+        if lower & ~p.strict_below[b]:
+            plus |= 1 << b
+    return minus, plus
+
+
+def test_chain_blocks_are_convex_and_tagged_from_the_cover_masks(cross_check_posets):
+    """Every block of a chain of ideals is convex, so its Hasse edges are the
+    poset's edges inside it, and the cover-mask tagger reads the same tags
+    as one that derives the block's own covers."""
+    assert not _is_convex(from_covers(3, [(0, 1), (1, 2)], [1, 2, 3], [1] * 3), 0b101)
+    for p in cross_check_posets:
+        blocks = {block for chain in ChainEngine(p).chains() for block in chain}
+        for m in sorted(blocks | {(1 << p.n) - 1}):
+            assert _is_convex(p, m), (p.to_json_dict(), m)
+            assert _tag_masks(p, m) == _tag_masks_by_lower_covers(p, m), (p.to_json_dict(), m)
 
 
 @pytest.mark.parametrize("name", ["weighted_strip.json", "cancellation.json"])

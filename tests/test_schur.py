@@ -129,3 +129,15 @@ def test_each_shape_is_folded_once(monkeypatch):
     calls.clear()
     assert (chi((2, 1), (3,)), chi((2, 1), (1, 1, 1)), chi((3,), (3,))) == (-1, 2, 1)
     assert calls == Counter({(2, 1): 2, (3,): 1})
+
+
+def _conjugate(lam):
+    return tuple(sum(part > i for part in lam) for i in range(lam[0]))
+
+
+def test_conjugate_characters_differ_by_the_sign_of_mu():
+    """chi_{lambda'}(mu) = sgn(mu) chi_lambda(mu), with sgn(mu) = (-1)^(n - len(mu))."""
+    for n in range(1, 9):
+        chis = {(lam, mu): value for lam, mu, value in character_table(n)}
+        for (lam, mu), value in chis.items():
+            assert chis[_conjugate(lam), mu] == (-1) ** (n - len(mu)) * value, (lam, mu)

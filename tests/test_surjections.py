@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -6,7 +7,7 @@ from operator import attrgetter
 
 import pytest
 
-from qmn.compositions import coarsenings, partitions_of
+from qmn.compositions import coarsenings, compositions_of, partitions_of
 from qmn.mn import (
     _block_contribution,
     _weakly_decreasing,
@@ -22,6 +23,7 @@ from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import (
     ChainEngine,
     PosetTooLarge,
+    _composition,
     _one_part,
     enumerate_order_surjections,
     enumerate_partition_surjections,
@@ -178,8 +180,9 @@ def test_weighted_successors_carry_each_block_weight(cross_check_posets):
 
 
 def _fold_per_state(engine, block_value, step, calls):
-    """The fold with each state's blocks listed anew, and every step call
-    recorded: F(0, 0) and the states built besides the final (P, 0)."""
+    """The fold with each state's blocks listed anew, suffixes kept as
+    tuples and every step call recorded: F(0, 0) and the states built
+    besides the final (P, 0)."""
     p = engine.p
     states = {(engine.full, 0): {(): 1}}
 
@@ -192,8 +195,9 @@ def _fold_per_state(engine, block_value, step, calls):
                 moves = step(s, w, rest - w)
                 value = block_value(block) if moves else 0
                 for carry, factor, head in moves if value else ():
+                    part = (head,) if head else ()
                     for tail, coeff in build(ideal | block, carry, rest - w).items():
-                        out[head + tail] = out.get(head + tail, 0) + value * factor * coeff
+                        out[part + tail] = out.get(part + tail, 0) + value * factor * coeff
             states[ideal, s] = out
         return states[ideal, s]
 
@@ -202,7 +206,7 @@ def _fold_per_state(engine, block_value, step, calls):
 
 def _open_run(s, w, rest):
     """A step that carries the open run's sum, so an ideal holds many states."""
-    return ((0, 1, (s + w,)), (s + w, 1, ()))
+    return ((0, 1, s + w), (s + w, 1, 0))
 
 
 @pytest.mark.parametrize("step", [_one_part, _weakly_decreasing, _open_run])
@@ -230,3 +234,36 @@ def test_fold_lists_each_ideal_once(cross_check_posets, step):
         assert sorted(listed) == sorted({ideal for ideal, _ in states}), p.to_json_dict()
         several += len(states) > len(listed)
     assert several or step is _one_part
+
+
+def test_prepended_keys_decode_to_their_compositions():
+    """A suffix key puts the part h in front of the key T as T << h | 1 << (h - 1),
+    with 0 for the empty suffix; decoding gives back the composition."""
+    for n in range(9):
+        for alpha in compositions_of(n):
+            key = 0
+            for h in reversed(alpha):
+                key = key << h | 1 << (h - 1)
+            assert key.bit_length() == n and _composition(key) == alpha, alpha
+
+
+def test_fold_output_wraps_as_the_checked_constructor(cross_check_posets):
+    """Fold output wrapped without the key check has the terms the checked
+    constructor builds: zeros dropped, every coefficient a Fraction."""
+    shapes = [shape_to_poset(SkewShape(lam)) for n in range(1, 8) for lam in partitions_of(n)]
+    zeros = 0
+    for p in cross_check_posets + shapes:
+        engine = ChainEngine(p)
+        value = partial(_block_contribution, p)
+        denominator = math.factorial(sum(p.d))
+        for raw in (engine.fold(value), engine.fold(value, _weakly_decreasing)):
+            zeros += 0 in raw.values()
+            for basis in ("M", "PsiHat"):
+                wrapped = QsymExpr._from_fold(basis, raw).terms
+                assert wrapped == QsymExpr(basis, raw).terms, p.to_json_dict()
+                scaled = {alpha: Fraction(c, denominator) for alpha, c in raw.items()}
+                divided = QsymExpr._from_fold(basis, raw, denominator).terms
+                assert divided == QsymExpr(basis, scaled).terms, p.to_json_dict()
+                for terms in (wrapped, divided):
+                    assert all(type(c) is Fraction and c for c in terms.values())
+    assert zeros
