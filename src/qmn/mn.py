@@ -17,6 +17,8 @@ ever converted on its own.  `mn_partition_expansion` keeps only the terms
 indexed by partitions, which is all a character table reads: its fold
 carries the previous block's weight and walks only the chains whose block
 weights weakly decrease, so a heavier block is refused before it is tagged.
+`mn_partition_expansions` runs that fold up to a weight bound and reads
+the same terms for every order ideal of that weight at once.
 `_tag_masks` is the single tagger: it gives the masks of the -1 and +1
 elements of the block of a poset on an element mask, and every strip
 query goes through it.  Every mask it tags is convex, a block of a chain
@@ -157,6 +159,19 @@ def mn_partition_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     engine = ChainEngine(p, max_n)
     terms = engine.fold(lambda block: _block_contribution(p, block), _weakly_decreasing)
     return QsymExpr._from_fold("PsiHat", terms)
+
+
+def mn_partition_expansions(p: LabeledPoset, total, max_n=None):
+    """The map from each order ideal I of p of weight `total` that some chain
+    reaches to mn_partition_expansion of the subposet of p on I.
+
+    The part of a chain that ends at I is a chain of I's own subposet, and
+    its blocks are convex in I as in p, so `_tag_masks` gives them the same
+    tags in both.  So one fold bounded by `total` reads every such I.
+    """
+    engine = ChainEngine(p, max_n, total)
+    folds = engine.folds(lambda block: _block_contribution(p, block), _weakly_decreasing)
+    return {ideal: QsymExpr._from_fold("PsiHat", terms) for ideal, terms in folds}
 
 
 def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:

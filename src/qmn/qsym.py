@@ -8,10 +8,12 @@ converter, which expands each term over all cuts of its composition.  The
 power sum rule of a poset has a faster route to the monomial basis,
 `mn.mn_monomial_expansion`, which converts inside the ideal-lattice fold.
 `QsymExpr(basis, terms)` is the checked constructor: it checks the basis
-and each composition and drops zero coefficients.  The output of the
-ideal-lattice fold is wrapped by `QsymExpr._from_fold` instead, which
-drops zeros and stores `Fraction`s the same way but checks no key, since
-the fold builds only compositions.
+and each composition and drops zero coefficients.  Terms that are already
+checked are stored by `QsymExpr._trusted`, which checks nothing: the sums,
+differences and multiples of expressions, whose operands were checked, and
+the output of the ideal-lattice fold, which `QsymExpr._from_fold` wraps,
+dropping zeros and storing `Fraction`s, since the fold builds only
+compositions.
 """
 
 from __future__ import annotations
@@ -52,14 +54,22 @@ class QsymExpr:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, basis, terms):
+        """The expression of `terms`, which must already map compositions to
+        nonzero Fractions in a known basis; nothing is checked or copied."""
+        self = object.__new__(cls)
+        self.basis = basis
+        self.terms = terms
+        return self
+
+    @classmethod
     def _from_fold(cls, basis, terms, denominator=None):
         """The expression of a fold's integer terms, each divided by
         `denominator` (None for 1); equal to QsymExpr(basis, that map).
         Every key is a composition by construction, so none is checked."""
-        self = object.__new__(cls)
-        self.basis = basis
-        self.terms = {alpha: Fraction(c, denominator) for alpha, c in terms.items() if c}
-        return self
+        return cls._trusted(
+            basis, {alpha: Fraction(c, denominator) for alpha, c in terms.items() if c}
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -89,18 +99,29 @@ class QsymExpr:
 
     def scaled(self, factor) -> "QsymExpr":
         factor = Fraction(factor)
-        return QsymExpr(self.basis, {a: c * factor for a, c in self.terms.items()})
+        terms = {a: c * factor for a, c in self.terms.items()} if factor else {}
+        return QsymExpr._trusted(self.basis, terms)
 
     def __add__(self, other) -> "QsymExpr":
+        return self._plus(other, 1)
+
+    def __sub__(self, other) -> "QsymExpr":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other in one pass.  Both operands hold checked
+        compositions and nonzero Fractions, so the sum is built trusted and
+        only the keys that cancel are dropped."""
         if self.basis != other.basis:
             raise ValueError("cannot add expressions in different bases")
         acc = dict(self.terms)
         for alpha, coeff in other.terms.items():
-            acc[alpha] = acc.get(alpha, Fraction(0)) + coeff
-        return QsymExpr(self.basis, acc)
-
-    def __sub__(self, other) -> "QsymExpr":
-        return self + other.scaled(-1)
+            total = acc.get(alpha, 0) + sign * coeff
+            if total:
+                acc[alpha] = total
+            else:
+                del acc[alpha]
+        return QsymExpr._trusted(self.basis, acc)
 
     def to_json_dict(self) -> dict:
         return {

@@ -7,8 +7,12 @@ character value chi_lambda(mu) is then the PsiHat coefficient of any
 rearrangement of mu, and is independently computable through border
 strip tableaux.  The character table reads only the coefficients at
 partitions, so it folds only the chains of blocks whose weights weakly
-decrease (`mn.mn_partition_expansion`).  It folds each lambda once and
-reads every mu from that fold; nothing is cached from one call to the next.
+decrease.  The shape (n, n // 2, ..., 1) holds every partition of n, and
+its order ideals of size n are exactly those partitions, so the table is
+one fold of that shape's poset bounded by n (`mn.mn_partition_expansions`),
+and the row of lambda is the fold's map at lambda's cells.  `chi` folds its
+own lambda (`mn.mn_partition_expansion`); nothing is cached from one call
+to the next.
 `SkewShape`, a named tuple, is validated by its constructor
 `SkewShape(outer, inner=())`: both partitions, and inner inside outer.
 """
@@ -20,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import check_partition, partitions_of, z
-from .mn import mn_partition_expansion
+from .mn import mn_partition_expansion, mn_partition_expansions
 from .posets import LabeledPoset, check_size_guard, from_covers
 
 
@@ -193,19 +197,35 @@ def chi_bst(lam, mu) -> int:
     return rec(lam, len(mu))
 
 
+def _diagram_mask(container, lam):
+    """The mask of the cells of lam among the elements of
+    shape_to_poset(SkewShape(container)), which are its cells row by row."""
+    mask, start = 0, 0
+    for width, part in zip(container, lam):
+        mask |= ((1 << part) - 1) << start
+        start += width
+    return mask
+
+
 def character_table(n: int, max_n=None):
     """All (lambda, mu, chi) triples for partitions of n, canonical order.
 
     `max_n` is the size guard, checked against n before any partition of n
-    is listed; then n must be at least 1.  Each lambda is folded once, and
-    every mu is read from it.
+    is listed; then n must be at least 1.  The shape (n, n // 2, ..., 1)
+    holds every partition of n, and its ideals of size n are exactly those
+    partitions, so one fold of its poset bounded by n reads every row.
     """
     check_size_guard(n, max_n)
     if n < 1:
         raise ValueError(f"n must be at least 1: n = {n}")
     lams = partitions_of(n)
-    folds = [(lam, _schur_psihat_terms(lam, max_n)) for lam in lams]
-    return [(lam, mu, _character(terms, mu)) for lam, terms in folds for mu in lams]
+    container = tuple(n // i for i in range(1, n + 1))
+    rows = mn_partition_expansions(shape_to_poset(SkewShape(container)), n, max_n)
+    table = []
+    for lam in lams:
+        terms = rows[_diagram_mask(container, lam)].terms
+        table += [(lam, mu, _character(terms, mu)) for mu in lams]
+    return table
 
 
 def orthogonality_check(n: int) -> bool:

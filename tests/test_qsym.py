@@ -119,3 +119,44 @@ def test_terms_are_held_once():
     b = M(((3,), -1), ((2, 1), 3), ((1, 2), 1))
     assert a == b and hash(a) == hash(b)
     assert a != QsymExpr("Psi", a.terms)
+
+
+def _checked(basis, terms):
+    return QsymExpr(basis, terms).terms
+
+
+def test_sums_differences_and_multiples_match_the_checked_constructor():
+    """Arithmetic builds its result without re-checking the keys; the terms
+    equal what the checked constructor makes of the same raw sums."""
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        comps = compositions_of(n)
+
+        def draw():
+            terms = {rng.choice(comps): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 5))}
+            return QsymExpr(rng.choice(("M", "PsiHat")), terms)
+
+        a = draw()
+        b = QsymExpr(a.basis, {**draw().terms, **dict(list(a.terms.items())[:2])})
+        keys = set(a.terms) | set(b.terms)
+        for got, raw in (
+            (a + b, {k: a.coefficient(k) + b.coefficient(k) for k in keys}),
+            (a - b, {k: a.coefficient(k) - b.coefficient(k) for k in keys}),
+        ):
+            assert got.basis == a.basis and got.terms == _checked(a.basis, raw)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+        for factor in (0, 2, Fraction(-1, 3)):
+            raw = {k: c * factor for k, c in a.terms.items()}
+            assert a.scaled(factor).terms == _checked(a.basis, raw)
+    with pytest.raises(ValueError):
+        M(((1,), 1)) - QsymExpr("Psi", {(1,): 1})
+
+
+def test_an_expression_minus_itself_keeps_no_zero_term():
+    a = M(((1, 2), 1), ((2, 1), Fraction(-3, 2)), ((3,), 4))
+    assert (a - a).terms == {} and a - a == QsymExpr("M", {})
+    assert (a + a.scaled(-1)).terms == {} and a.scaled(0).terms == {}
+    b = M(((1, 2), 1), ((3,), 1))
+    assert (a - b).terms == {(2, 1): Fraction(-3, 2), (3,): Fraction(3)}

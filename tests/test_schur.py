@@ -4,7 +4,7 @@ import pytest
 
 from qmn import schur
 from qmn.compositions import partitions_of
-from qmn.mn import mn_expansion
+from qmn.mn import mn_expansion, mn_partition_expansion
 from qmn.qsym import psi_to_monomial
 from qmn.schur import (
     SkewShape,
@@ -15,7 +15,7 @@ from qmn.schur import (
     orthogonality_check,
     shape_to_poset,
 )
-from qmn.surjections import enumerate_partition_surjections, monomial_expansion
+from qmn.surjections import ChainEngine, enumerate_partition_surjections, monomial_expansion
 
 
 def test_shape_to_poset_22():
@@ -111,24 +111,45 @@ def test_schur_expansion_matches_oracle():
 
 
 def test_each_shape_is_folded_once(monkeypatch):
-    calls, fold = Counter(), schur._schur_psihat_terms
+    """A table is one fold of the shape (n, n // 2, ..., 1) bounded by n;
+    chi folds its own lambda once."""
+    folds, calls = [], Counter()
+    engine_folds, psihat_terms = ChainEngine.folds, schur._schur_psihat_terms
+
+    def counted_folds(engine, *args):
+        folds.append((engine.p.n, engine.total))
+        return engine_folds(engine, *args)
 
     def counted(lam, max_n):
         calls[lam] += 1
-        return fold(lam, max_n)
+        return psihat_terms(lam, max_n)
 
+    monkeypatch.setattr(ChainEngine, "folds", counted_folds)
     monkeypatch.setattr(schur, "_schur_psihat_terms", counted)
     for n in range(1, 10):
-        calls.clear()
+        folds.clear()
         character_table(n)
-        assert calls == Counter(partitions_of(n)), n
+        assert folds == [(sum(n // i for i in range(1, n + 1)), n)], n
     for n in range(1, 6):
-        calls.clear()
+        folds.clear()
         orthogonality_check(n)
-        assert calls == Counter(partitions_of(n)), n
-    calls.clear()
+        assert folds == [(sum(n // i for i in range(1, n + 1)), n)], n
+    assert not calls
+    folds.clear()
     assert (chi((2, 1), (3,)), chi((2, 1), (1, 1, 1)), chi((3,), (3,))) == (-1, 2, 1)
     assert calls == Counter({(2, 1): 2, (3,): 1})
+    assert folds == [(3, 3)] * 3
+
+
+def test_each_row_is_its_shapes_own_expansion():
+    for n in range(1, 9):
+        rows = {}
+        for lam, mu, value in character_table(n):
+            if value:
+                rows.setdefault(lam, {})[mu] = value
+        for lam in partitions_of(n):
+            own = mn_partition_expansion(shape_to_poset(SkewShape(lam))).terms
+            assert rows[lam] == own, lam
 
 
 def _conjugate(lam):

@@ -7,6 +7,7 @@ from operator import attrgetter
 
 import pytest
 
+from tests.conftest import budgeted_random_poset
 from qmn.compositions import coarsenings, compositions_of, partitions_of
 from qmn.mn import (
     _block_contribution,
@@ -14,10 +15,18 @@ from qmn.mn import (
     mn_expansion,
     mn_monomial_expansion,
     mn_partition_expansion,
+    mn_partition_expansions,
     natural_mn_expansion,
     rooted_surjections,
 )
-from qmn.posets import from_covers, mask_elements, natural_relabeling, random_poset
+from qmn.posets import (
+    LabeledPoset,
+    from_covers,
+    induced_subposet,
+    mask_elements,
+    natural_relabeling,
+    random_poset,
+)
 from qmn.qsym import QsymExpr
 from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import (
@@ -179,29 +188,33 @@ def test_weighted_successors_carry_each_block_weight(cross_check_posets):
             assert engine.weighted_successors(ideal) == expected, (p.to_json_dict(), ideal)
 
 
-def _fold_per_state(engine, block_value, step, calls):
-    """The fold with each state's blocks listed anew, suffixes kept as
-    tuples and every step call recorded: F(0, 0) and the states built
-    besides the final (P, 0)."""
-    p = engine.p
-    states = {(engine.full, 0): {(): 1}}
-
-    def build(ideal, s, rest):
-        if (ideal, s) not in states:
-            out = {}
-            for block in engine.successors(ideal):
+def _forward_fold(p, block_value, step, calls):
+    """The fold pushed forward in increasing weight, with each ideal's blocks
+    listed by the definition, prefixes kept as tuples and every step call
+    recorded: the map at the full ideal and the states pushed below it."""
+    total, values, pushed = sum(p.d), {}, set()
+    layers = {0: {0: {0: {(): 1}}}}  # weight -> ideal -> carry -> {prefix: coeff}
+    while layers and min(layers) < total:
+        weight = min(layers)
+        for ideal, states in layers.pop(weight).items():
+            pushed.update((ideal, s) for s in states)
+            for block in _successors_by_pairs(p, ideal):
                 w = _weight(p, block)
-                calls.append((s, w, rest - w))
-                moves = step(s, w, rest - w)
-                value = block_value(block) if moves else 0
-                for carry, factor, head in moves if value else ():
-                    part = (head,) if head else ()
-                    for tail, coeff in build(ideal | block, carry, rest - w).items():
-                        out[part + tail] = out.get(part + tail, 0) + value * factor * coeff
-            states[ideal, s] = out
-        return states[ideal, s]
-
-    return build(0, 0, sum(p.d)), set(states) - {(engine.full, 0)}
+                for s, prefixes in states.items():
+                    if values.get(block) == 0:
+                        break  # a block known to be 0 is skipped by the remaining states
+                    calls.append((s, w, total - weight - w))
+                    moves = step(s, w, total - weight - w)
+                    if moves and block not in values:
+                        values[block] = block_value(block)
+                    for carry, factor, head in moves if values.get(block) else ():
+                        part = (head,) if head else ()
+                        out = layers.setdefault(weight + w, {}).setdefault(ideal | block, {})
+                        out = out.setdefault(carry, {})
+                        for prefix, coeff in prefixes.items():
+                            term = values[block] * factor * coeff
+                            out[prefix + part] = out.get(prefix + part, 0) + term
+    return layers.get(total, {}).get((1 << p.n) - 1, {}).get(0, {}), pushed
 
 
 def _open_run(s, w, rest):
@@ -228,12 +241,74 @@ def test_fold_lists_each_ideal_once(cross_check_posets, step):
         engine.weighted_successors = spy
         value = partial(_block_contribution, p)
         terms = engine.fold(value, recorded)
-        expected, states = _fold_per_state(ChainEngine(p), value, step, expected_calls)
+        expected, states = _forward_fold(p, value, step, expected_calls)
         assert terms == expected, p.to_json_dict()
         assert Counter(calls) == Counter(expected_calls), p.to_json_dict()
+        # each ideal below the top is listed once, and the top never
         assert sorted(listed) == sorted({ideal for ideal, _ in states}), p.to_json_dict()
         several += len(states) > len(listed)
     assert several or step is _one_part
+
+
+def test_a_bounded_fold_reads_every_ideal_of_its_weight(cross_check_posets):
+    """The fold bounded by t yields, at each ideal of weight t, the fold of
+    the ideal's own subposet; every ideal of weight t is reached."""
+    shapes = [shape_to_poset(SkewShape(lam)) for lam in partitions_of(6)]
+    for p in cross_check_posets + shapes:
+        ideals = [0] + _successors_by_pairs(p, 0)
+        for total in range(1, sum(p.d) + 1):
+            engine = ChainEngine(p, total=total)
+            for step in (_one_part, _weakly_decreasing):
+                got = dict(engine.folds(lambda block: 1, step))
+                expected = {}
+                for ideal in ideals:
+                    if ideal and _weight(p, ideal) == total:
+                        sub = induced_subposet(p, mask_elements(ideal))
+                        terms = ChainEngine(sub).fold(lambda block: 1, step)
+                        if terms:
+                            expected[ideal] = terms
+                assert got == expected, (p.to_json_dict(), total)
+            assert all(_weight(p, b) <= total for b in engine.successors(0))
+            rule = {
+                ideal: mn_partition_expansion(induced_subposet(p, mask_elements(ideal)))
+                for ideal in ideals
+                if ideal and _weight(p, ideal) == total
+            }
+            got = mn_partition_expansions(p, total)
+            assert set(got) <= set(rule), (p.to_json_dict(), total)
+            assert {ideal: rule[ideal] for ideal in got} == got, (p.to_json_dict(), total)
+            assert all(rule[ideal].terms == {} for ideal in set(rule) - set(got))
+
+
+def test_a_bounded_engine_guards_its_largest_ideal():
+    """The guard reads the largest ideal a walk can reach: min(n, total)."""
+    chain = from_covers(12, [(i, i + 1) for i in range(11)], list(range(1, 13)), [1] * 12)
+    assert ChainEngine(chain, total=10).total == 10
+    with pytest.raises(PosetTooLarge):
+        ChainEngine(chain, total=11)
+    with pytest.raises(PosetTooLarge):
+        ChainEngine(chain, max_n=9, total=10)
+    heavy = from_covers(3, [], [1, 2, 3], [9, 9, 9])
+    assert ChainEngine(heavy, max_n=3).total == 27
+
+
+def _dual(p):
+    """Every relation reversed and every label omega replaced by n + 1 - omega."""
+    return LabeledPoset(p.n, {(b, a) for a, b in p.less}, [p.n + 1 - w for w in p.omega], p.d)
+
+
+def test_the_dual_poset_reverses_every_composition(cross_check_posets):
+    """A partition surjection f of p read as l + 1 - f is one of the dual,
+    so the dual's M expansion is p's with each composition reversed; both
+    the fused rule and the oracle must show it."""
+    randoms = [budgeted_random_poset(8, 12, seed) for seed in range(100, 130)]
+    asymmetric = 0
+    for p in cross_check_posets + randoms:
+        for expand in (mn_monomial_expansion, monomial_expansion):
+            terms, dual = expand(p).terms, expand(_dual(p)).terms
+            assert dual == {alpha[::-1]: c for alpha, c in terms.items()}, p.to_json_dict()
+            asymmetric += dual != terms
+    assert asymmetric  # so a check that drops the reversal fails
 
 
 def test_prepended_keys_decode_to_their_compositions():
