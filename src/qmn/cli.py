@@ -82,6 +82,8 @@ def _verify_poset(poset, max_n):
 
 def _compare(via_mn, oracle):
     """(ok, first difference or None) between the rule and the oracle, both in M."""
+    if via_mn.terms == oracle.terms:
+        return True, None
     for alpha in sorted(set(via_mn.terms) | set(oracle.terms)):
         a = via_mn.coefficient(alpha)
         b = oracle.coefficient(alpha)

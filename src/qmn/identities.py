@@ -11,24 +11,26 @@ Every function reads one object, a cut of d into consecutive runs: the
 first part of each run (its root) and the block-end prefix sums are the
 numerators and denominators of a staircase probability and the leaf
 weights and hooks of a beta-tree.  A term of either coarsening sum is a
-product over its runs, so both sums come from one recursion over the
-first cut point in O(len(d)^2) products instead of 2^(len(d)-1) terms.
-The hook-length check streams the cuts from compositions.coarsening_blocks,
-since it tests each hook quotient for integrality; omega_probability and
-beta_tree cut d once by the block sizes beta.
+product of one weight per run, and a run's weight is its root's factor
+times one link factor per further part, so both sums come from one
+recursion over the first cut point in 2 len(d) - 1 products instead of
+2^(len(d)-1) terms.  The q-sum runs it twice in plain integers: at q = 1,
+for a bound on every coefficient, then at one packed q wide enough that
+no coefficient carries, and unpacks each sum once.  The hook-length
+check tests each hook quotient for integrality, so it streams the cuts
+by first cut point, one (hook product, root product) pair per cut;
+omega_probability and beta_tree cut d once by the block sizes beta.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 
-from .compositions import check_composition, coarsening_blocks
+from .compositions import check_composition
 
 
 # --- exact integer polynomials in q ----------------------------------------
@@ -123,25 +125,34 @@ def omega_probability(d, beta) -> Fraction:
     return Fraction(math.prod(roots), math.prod(ends))
 
 
-def _suffix_sums(k, run_terms, one) -> list:
-    """[S(0), ..., S(k)] for S(k) = one and S(i) = sum_{j>i} R(i, j) S(j).
+def _suffix_sums(roots, links, one) -> list:
+    """[S(0), ..., S(k)] for S(k) = one and S(i) = sum_{j>i} R(i, j) S(j),
+    where a run d[i:j] weighs R(i, j) = roots[i] * links[i+1] * ... * links[j-1]
+    (links[0] is never read).
 
-    run_terms(i) yields R(i, j) for j = i+1, ..., k.  S(i) sums, over the
-    cuts of positions i..k-1 into runs [i', j'), the product of the
-    R(i', j'); the recursion takes O(k^2) products and lists no cut.
+    S(i) sums, over the cuts of positions i..k-1 into runs, the product of
+    their weights.  Taking out the first run's root, S(i) = roots[i] T(i)
+    with T(k-1) = S(k) and T(i-1) = S(i) + links[i] T(i), so the recursion
+    takes 2k - 1 products and lists no cut.
     """
+    k = len(roots)
     sums = [one] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        sums[i] = reduce(operator.add, map(operator.mul, run_terms(i), sums[i + 1 :]))
+    tail = one
+    for i in range(k - 1, 0, -1):
+        sums[i] = roots[i] * tail
+        tail = sums[i] + links[i] * tail
+    sums[0] = roots[0] * tail
     return sums
 
 
 def _probability_suffix_sums(d) -> list:
-    """_suffix_sums with R(i, j) = d[i] / (d[0] + ... + d[j-1]) for the run d[i:j]."""
+    """_suffix_sums with R(i, j) = d[i] / (d[0] + ... + d[j-1]) for the run
+    d[i:j]: the root d[i] / P_{i+1} times the links P_m / P_{m+1}, where P_m
+    = d[0] + ... + d[m-1]."""
     prefix = (0, *accumulate(d))
     return _suffix_sums(
-        len(d),
-        lambda i: (Fraction(d[i], prefix[j]) for j in range(i + 1, len(d) + 1)),
+        [Fraction(part, end) for part, end in zip(d, prefix[1:])],
+        [Fraction(m, end) for m, end in zip(prefix, prefix[1:])],
         Fraction(1),
     )
 
@@ -154,20 +165,28 @@ def probabilistic_sum(d) -> Fraction:
     return _probability_suffix_sums(check_composition(d))[0]
 
 
-def _q_suffix_sums(d) -> list:
-    """_suffix_sums with the cleared q-term R(i, j) = q^{P_i} [d[i]]_q
-    prod_{i<m<j} [P_m]_q of the run d[i:j], where P_m = d[0] + ... + d[m-1];
-    the product grows one factor per step of j."""
+def _cleared_suffix_sums(d, bracket, shift) -> list:
+    """_suffix_sums at q = 2^shift of the cleared q-term R(i, j) = q^{P_i}
+    [d[i]]_q prod_{i<m<j} [P_m]_q of the run d[i:j], where P_m = d[0] + ...
+    + d[m-1] and bracket(m) is the integer [m]_q."""
     prefix = (0, *accumulate(d))
+    roots = [bracket(part) << shift * start for part, start in zip(d, prefix)]
+    return _suffix_sums(roots, list(map(bracket, prefix)), 1)
 
-    def run_terms(i):
-        term = q_integer(d[i]).shifted(prefix[i])
-        yield term
-        for m in range(i + 1, len(d)):
-            term = term * q_integer(prefix[m])
-            yield term
 
-    return _suffix_sums(len(d), run_terms, ONE)
+def _q_suffix_sums(d) -> list:
+    """The cleared q-polynomials S(i) of _cleared_suffix_sums.
+
+    Every coefficient is nonnegative, so S(i) at q = 1 bounds each of its
+    coefficients.  The sums are then taken once more at q = 256^width, for
+    the fewest bytes `width` above the largest such bound: [m]_q is m
+    `width`-byte ones, q^s a shift, and each product or sum one integer
+    operation (Kronecker substitution), from which no coefficient carries.
+    """
+    width = max(_cleared_suffix_sums(d, int, 0)).bit_length() // 8 + 1
+    one = (1).to_bytes(width, "little")
+    packed = _cleared_suffix_sums(d, lambda m: int.from_bytes(one * m, "little"), 8 * width)
+    return [QPolynomial(_unpack(s, width, -(-s.bit_length() // (8 * width)))) for s in packed]
 
 
 def q_probabilistic_sum(d) -> QPolynomial:
@@ -178,8 +197,9 @@ def q_probabilistic_sum(d) -> QPolynomial:
     all staircase column totals [d_1 + ... + d_i]_q, avoiding rational
     function arithmetic: a cleared term keeps the column totals that end
     no block.  The cleared total is summed by the recursion over the first
-    cut point, then compared with that product; the constant polynomial 1
-    signals the identity.
+    cut point in packed integers, then compared with that product, built
+    from QPolynomial products; the constant polynomial 1 signals the
+    identity.
     """
     d = check_composition(d)
     full = math.prod(map(q_integer, accumulate(d)), start=ONE)
@@ -197,24 +217,26 @@ BetaTree.__doc__ = """Caterpillar tree encoding a coarsening event.  Internal ve
 hook equals the prefix sum of the coarsening."""
 
 
-def _tree(runs) -> BetaTree:
-    """The tree of one cut of d: a leaf group and a hook per run."""
+def beta_tree(d, beta) -> BetaTree:
+    """Build the tree for composition d and block pattern beta of len(d):
+    a leaf group and a hook per run of the cut of d by beta."""
+    runs = _cut(d, beta)
     _, hooks = _cut_terms(runs)
     leaf_blocks = tuple((run[0] - 1,) + run[1:] for run in runs)
     return BetaTree(len(runs), leaf_blocks, tuple(hooks), hooks[-1])
 
 
-def beta_tree(d, beta) -> BetaTree:
-    """Build the tree for composition d and block pattern beta of len(d)."""
-    return _tree(_cut(d, beta))
+def _hook_quotient(factorial, hook_product) -> int:
+    """factorial / hook_product, which the hook formula requires to be whole."""
+    count, rem = divmod(factorial, hook_product)
+    if rem:
+        raise ArithmeticError("hook product does not divide the factorial")
+    return count
 
 
 def linear_extension_count(tree: BetaTree) -> int:
     """Hook formula: total! / product of internal hooks (leaves have hook 1)."""
-    count, rem = divmod(math.factorial(tree.total), math.prod(tree.hooks))
-    if rem:
-        raise ArithmeticError("hook product does not divide the factorial")
-    return count
+    return _hook_quotient(math.factorial(tree.total), math.prod(tree.hooks))
 
 
 def brute_force_linear_extensions(tree: BetaTree) -> int:
@@ -268,14 +290,33 @@ def brute_force_linear_extensions(tree: BetaTree) -> int:
     return count_orders(start, n)
 
 
+def _hook_root_products(d):
+    """Yield (hook product, root product) for each cut of d into runs, in
+    the order of compositions.coarsening_blocks.
+
+    A run d[i:j] has the root d[i] and the hook d[0] + ... + d[j-1], as in
+    beta_tree.  The walk goes by first cut point and extends the product
+    pair once per run, so a partial cut's products are shared by every cut
+    that extends it, and only one partial cut per run is held at a time.
+    """
+    prefix = (0, *accumulate(d))
+    k = len(d)
+
+    def cuts(i, hooks, roots):  # the cuts of d[i:], after a partial cut with these products
+        roots *= d[i]
+        for j in range(i + 1, k):
+            yield from cuts(j, hooks * prefix[j], roots)
+        yield hooks * prefix[k], roots
+
+    return cuts(0, 1, 1)
+
+
 def linext_identity_check(d):
     """Both sides of: sum over beta of |LinExt| * prod roots = (sum d)!."""
     d = check_composition(d)
-    lhs = 0
-    for runs in coarsening_blocks(d):
-        roots, _ = _cut_terms(runs)
-        lhs += linear_extension_count(_tree(runs)) * math.prod(roots)
-    return lhs, math.factorial(sum(d))
+    rhs = math.factorial(sum(d))
+    lhs = sum(_hook_quotient(rhs, hooks) * roots for hooks, roots in _hook_root_products(d))
+    return lhs, rhs
 
 
 # --- staircase Monte Carlo --------------------------------------------------
@@ -314,6 +355,6 @@ def staircase_monte_carlo(d, samples, seed):
 
     rng = random.Random(seed)
     counts = Counter(
-        _classify(columns, [rng.randint(1, c) for c in columns]) for _ in range(samples)
+        _classify(columns, [rng.randrange(c) + 1 for c in columns]) for _ in range(samples)
     )
     return {beta: Fraction(c, samples) for beta, c in counts.items()}

@@ -105,12 +105,29 @@ def test_identities_report(capsys):
 
 def test_identities_cost_is_bounded_by_the_total_not_the_parts(capsys, monkeypatch):
     # ten parts of 40 give a cleared q-polynomial of degree 2190 (sum of the prefix sums
-    # less 10), ten parts of 2 one of degree 100; both take the same polynomial products,
-    # and each product is one integer product of its two packed operands
+    # less 10), ten parts of 2 one of degree 100; both take the same products: the
+    # suffix sums, at q = 1 and packed, 2 * 10 - 1 integer products each, and the
+    # cleared denominator's polynomial products, each one integer product of its two
+    # packed operands
     counts = Counter()
-    mul, pack = identities.QPolynomial.__mul__, identities._pack
+    mul, pack, suffix_sums = identities.QPolynomial.__mul__, identities._pack, identities._suffix_sums
     monkeypatch.setattr(identities.QPolynomial, "__mul__", lambda a, b: counts.update(["mul"]) or mul(a, b))
     monkeypatch.setattr(identities, "_pack", lambda c, w: counts.update(["pack"]) or pack(c, w))
+
+    class Factor(int):  # a root or link of the integer sums, counting its products
+        def __mul__(self, other):
+            counts.update(["int product"])
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    def counted_suffix_sums(roots, links, one):
+        if isinstance(one, int):  # the q-sums, not the Fraction probability sum
+            counts.update(["int sums"])
+            roots, links = list(map(Factor, roots)), list(map(Factor, links))
+        return suffix_sums(roots, links, one)
+
+    monkeypatch.setattr(identities, "_suffix_sums", counted_suffix_sums)
     seen = {}
     for part in ("2", "40"):
         counts.clear()
@@ -119,6 +136,8 @@ def test_identities_cost_is_bounded_by_the_total_not_the_parts(capsys, monkeypat
         assert "q_identity\tTrue" in out.splitlines()
         seen[part] = dict(counts)
     assert seen["40"] == seen["2"]
+    assert seen["40"]["int sums"] == 2
+    assert seen["40"]["int product"] == 2 * (2 * 10 - 1)
     assert seen["40"]["pack"] == 2 * seen["40"]["mul"] > 0
 
 
@@ -126,12 +145,13 @@ def _false_q_sums(d):
     return [identities.ONE] * (len(d) + 1)
 
 
-_real_tree = identities._tree
+_real_hook_root_products = identities._hook_root_products
 
 
-def _tree_with_a_bad_hook(runs):
-    tree = _real_tree(runs)
-    return tree._replace(hooks=tree.hooks[:-1] + (tree.total + 1,))
+def _hook_products_with_a_bad_hook(d):
+    # each cut's last hook, sum(d), becomes sum(d) + 1
+    total = sum(d)
+    return ((h // total * (total + 1), r) for h, r in _real_hook_root_products(d))
 
 
 @pytest.mark.parametrize(
@@ -142,7 +162,8 @@ def _tree_with_a_bad_hook(runs):
             "q-identity numerator does not match the cleared denominator",
         ),
         (
-            identities, "_tree", _tree_with_a_bad_hook, ("identities", "--d", "1,2"),
+            identities, "_hook_root_products", _hook_products_with_a_bad_hook,
+            ("identities", "--d", "1,2"),
             "hook product does not divide the factorial",
         ),
         (

@@ -7,6 +7,7 @@ import pytest
 from qmn.compositions import coarsening_blocks
 from qmn.identities import (
     ONE,
+    _hook_root_products,
     _probability_suffix_sums,
     _q_suffix_sums,
     BetaTree,
@@ -106,6 +107,17 @@ def test_sums_by_recursion_match_the_term_by_term_reference():
             assert probabilistic_sum(d) == p_sums[0] == 1
 
 
+def test_packed_width_holds_the_largest_coefficient():
+    # the packed q-sums take the fewest bytes above every S(i) at q = 1; in
+    # these, some coefficient of some S(i) needs the top byte of that width,
+    # so one byte fewer would carry it into the next coefficient
+    for d in [(3, 1, 2), (20, 19, 3), (4,) * 6]:
+        reference = [_q_reference(d, i) for i in range(len(d))] + [ONE]
+        width = max(sum(s.coeffs) for s in reference).bit_length() // 8 + 1
+        assert max(max(s.coeffs) for s in reference) >= 256 ** (width - 1), d
+        assert _q_suffix_sums(d) == reference, d
+
+
 def test_beta_tree_shape():
     tree = beta_tree((2, 1), (2,))
     assert tree == BetaTree(1, ((1, 1),), (3,), 3)
@@ -165,6 +177,19 @@ def test_every_term_reads_one_cut():
             assert sum(terms) == probabilistic_sum(d) == 1
 
 
+def test_the_hook_walk_reads_each_cut_as_its_tree():
+    # one (hook product, root product) per cut, in the order of coarsening_blocks
+    for n in range(1, 7):
+        for d in itertools.product(range(1, 4), repeat=n):
+            assert list(_hook_root_products(d)) == [
+                (
+                    math.prod(beta_tree(d, tuple(map(len, runs))).hooks),
+                    math.prod(run[0] for run in runs),
+                )
+                for runs in coarsening_blocks(d)
+            ], d
+
+
 def test_classify_staircase_vector():
     assert classify_staircase_vector((1, 1), (1, 1)) == (2,)
     assert classify_staircase_vector((1, 1), (1, 2)) == (1, 1)
@@ -197,7 +222,7 @@ def test_monte_carlo_close_and_deterministic():
 
 
 def test_monte_carlo_stream_is_pinned():
-    # a seed draws randint(1, d_1 + ... + d_i) column by column, sample by sample
+    # a seed draws randrange(d_1 + ... + d_i) + 1 column by column, sample by sample
     assert staircase_monte_carlo((1, 3, 2, 1), 60, seed=2026) == {
         (1, 1, 1, 1): Fraction(1, 30),
         (1, 1, 2): Fraction(1, 4),
