@@ -3,8 +3,9 @@
 Compositions are plain tuples of positive integers.  Partitions are
 compositions with weakly decreasing parts.  All arithmetic is exact.
 coarsening_blocks is the single walk over the cuts of a composition into
-consecutive runs; coarsenings, compositions_of, the PsiHat->M conversion
-and the coarsening identities all read it.
+consecutive runs; coarsenings, compositions_of and the PsiHat->M
+conversion read it.  The coarsening identities sum over the same cuts by
+their own recursions and import only check_composition from here.
 """
 
 from __future__ import annotations

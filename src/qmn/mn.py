@@ -13,12 +13,13 @@ traversal of the ideal lattice, with the block value sign * d(root); the
 oracle in `surjections` runs on the same fold with another block value.
 `mn_monomial_expansion` gives the rule in the monomial basis from the same
 fold, carrying the sum of the open run of parts, so no PsiHat term is
-ever converted on its own.  `mn_partition_expansion` keeps only the terms
-indexed by partitions, which is all a character table reads: its fold
+ever converted on its own.  `mn_partition_expansions` keeps only the terms
+indexed by partitions, which is all a character value reads: its fold
 carries the previous block's weight and walks only the chains whose block
 weights weakly decrease, so a heavier block is refused before it is tagged.
-`mn_partition_expansions` runs that fold up to a weight bound and reads
-the same terms for every order ideal of that weight at once.
+It runs up to a weight bound and reads these terms for every order ideal
+of that weight at once; bounded by the weight of the poset, it reads the
+whole poset.
 `_tag_masks` is the single tagger: it gives the masks of the -1 and +1
 elements of the block of a poset on an element mask, and every strip
 query goes through it.  Every mask it tags is convex, a block of a chain
@@ -26,7 +27,8 @@ of order ideals or the whole poset, so the block's Hasse edges are the
 poset's own edges inside it: it reads them from the strict and natural
 lower covers of each element, `LabeledPoset.cover_masks`, derived once
 per poset.  The rule's block value reads sign and root straight off the
-two masks; `block_strip_data` builds the full `StripData` from them.
+two masks; `block_strip_data` builds the full `StripData` from them.  Both
+call a block rooted when exactly one of its elements is in neither mask.
 Each expansion passes its `max_n` to `ChainEngine`, which checks the
 size guard when it is built, and wraps the fold's output with
 `QsymExpr._from_fold`.
@@ -34,10 +36,8 @@ size guard when it is built, and wraps the fold's output with
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
-from itertools import accumulate
-from math import comb
+from math import comb, factorial, perm
 
 from .posets import LabeledPoset, _bits, is_naturally_labeled
 from .qsym import QsymExpr
@@ -108,10 +108,11 @@ def block_strip_data(p: LabeledPoset, mask) -> StripData:
         TAG_MINUS if minus >> x & 1 else TAG_PLUS if plus >> x & 1 else TAG_STAR
         for x in _bits(mask)
     )
-    stars = [i for i, tag in enumerate(tags) if tag == TAG_STAR]
-    if len(stars) == 1:
-        return StripData(True, tags, True, (-1) ** minus.bit_count(), stars[0])
-    return StripData(True, tags, False, None, None)
+    star = mask & ~(minus | plus)
+    if star.bit_count() != 1:
+        return StripData(True, tags)
+    root = (mask & (star - 1)).bit_count()  # the elements of the block below the star
+    return StripData(True, tags, True, (-1) ** minus.bit_count(), root)
 
 
 def strip_data(p: LabeledPoset) -> StripData:
@@ -149,25 +150,17 @@ def _weakly_decreasing(s, w, rest):
     return ((w if rest else 0, 1, w),)
 
 
-def mn_partition_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
-    """The terms of mn_expansion(p) whose composition is a partition.
+def mn_partition_expansions(p: LabeledPoset, total, max_n=None):
+    """The map from each order ideal I of p of weight `total` that some chain
+    reaches to the terms of mn_expansion of the subposet of p on I whose
+    composition is a partition.
 
     The fold's coefficient of alpha sums over the chains whose block
     weights spell alpha, so folding only the chains whose weights weakly
-    decrease drops exactly the compositions that are not partitions.
-    """
-    engine = ChainEngine(p, max_n)
-    terms = engine.fold(lambda block: _block_contribution(p, block), _weakly_decreasing)
-    return QsymExpr._from_fold("PsiHat", terms)
-
-
-def mn_partition_expansions(p: LabeledPoset, total, max_n=None):
-    """The map from each order ideal I of p of weight `total` that some chain
-    reaches to mn_partition_expansion of the subposet of p on I.
-
-    The part of a chain that ends at I is a chain of I's own subposet, and
-    its blocks are convex in I as in p, so `_tag_masks` gives them the same
-    tags in both.  So one fold bounded by `total` reads every such I.
+    decrease drops exactly the compositions that are not partitions.  The
+    part of a chain that ends at I is a chain of I's own subposet, and its
+    blocks are convex in I as in p, so `_tag_masks` gives them the same tags
+    in both.  So one fold bounded by `total` reads every such I.
     """
     engine = ChainEngine(p, max_n, total)
     folds = engine.folds(lambda block: _block_contribution(p, block), _weakly_decreasing)
@@ -183,19 +176,19 @@ def mn_monomial_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:
     w divides by t = s + w and either closes the run as the part t or
     keeps it open.  Scaled by (s + rest)! / s!, with rest the weight not
     yet placed, every step is an integer: closing multiplies by
-    C(t + rest, t) * (t-1)! / s!, keeping open by (t-1)! / s!.  The sum is
-    divided by (sum of d)! once, at the end.
+    C(t + rest, t) * (t-1)! / s!, keeping open by (t-1)! / s!, which is
+    perm(t - 1, w - 1).  The sum is divided by (sum of d)! once, at the end,
+    so no table of factorials is kept.
     """
     engine = ChainEngine(p, max_n)
-    fact = list(accumulate(range(1, sum(p.d) + 1), operator.mul, initial=1))
 
     def run_step(s, w, rest):
         t = s + w
-        keep = fact[t - 1] // fact[s]
+        keep = perm(t - 1, w - 1)
         return ((0, keep * comb(t + rest, t), t), (t, keep, 0))
 
     terms = engine.fold(lambda block: _block_contribution(p, block), run_step)
-    return QsymExpr._from_fold("M", terms, fact[-1])
+    return QsymExpr._from_fold("M", terms, factorial(sum(p.d)))
 
 
 def natural_mn_expansion(p: LabeledPoset, max_n=None) -> QsymExpr:

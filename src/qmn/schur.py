@@ -5,14 +5,13 @@ one element per cell, weak edges along rows and strict edges down
 columns; its generating function is the (skew) Schur function.  The
 character value chi_lambda(mu) is then the PsiHat coefficient of any
 rearrangement of mu, and is independently computable through border
-strip tableaux.  The character table reads only the coefficients at
-partitions, so it folds only the chains of blocks whose weights weakly
-decrease.  The shape (n, n // 2, ..., 1) holds every partition of n, and
-its order ideals of size n are exactly those partitions, so the table is
-one fold of that shape's poset bounded by n (`mn.mn_partition_expansions`),
-and the row of lambda is the fold's map at lambda's cells.  `chi` folds its
-own lambda (`mn.mn_partition_expansion`); nothing is cached from one call
-to the next.
+strip tableaux.  A character value reads only the coefficients at
+partitions, so both readers run one fold, `mn.mn_partition_expansions`,
+over the chains of blocks whose weights weakly decrease, bounded by n,
+and read its map at lambda's cells.  `chi` folds lambda's own shape.  The
+shape (n, n // 2, ..., 1) holds every partition of n, and its order ideals
+of size n are exactly those partitions, so the table is one fold of that
+shape.  Nothing is cached from one call to the next.
 `SkewShape`, a named tuple, is validated by its constructor
 `SkewShape(outer, inner=())`: both partitions, and inner inside outer.
 """
@@ -24,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import check_partition, partitions_of, z
-from .mn import mn_partition_expansion, mn_partition_expansions
+from .mn import mn_partition_expansions
 from .posets import LabeledPoset, check_size_guard, from_covers
 
 
@@ -80,10 +79,6 @@ def shape_to_poset(shape: SkewShape) -> LabeledPoset:
     return from_covers(len(cells), covers, omega, [1] * len(cells))
 
 
-def _schur_psihat_terms(lam, max_n):
-    return mn_partition_expansion(shape_to_poset(SkewShape(lam)), max_n=max_n).terms
-
-
 def _same_size(lam, mu):
     """lam and mu as checked partitions, which must have the same size."""
     lam = check_partition(lam)
@@ -104,12 +99,15 @@ def _character(terms, mu) -> int:
 def chi(lam, mu, max_n=None) -> int:
     """Character value read off the poset expansion of the Schur function.
 
-    `max_n` is the size guard, checked against the size of lambda before
-    its shape poset is built.
+    `max_n` is the size guard, checked against the size n of lambda before
+    its shape poset is built.  The fold of that poset bounded by n is read
+    at the ideal of all of lambda's cells, as the table reads a row.
     """
     lam, mu = _same_size(lam, mu)
-    check_size_guard(sum(lam), max_n)
-    return _character(_schur_psihat_terms(lam, max_n), mu)
+    n = sum(lam)
+    check_size_guard(n, max_n)
+    rows = mn_partition_expansions(shape_to_poset(SkewShape(lam)), n, max_n)
+    return _character(rows[_diagram_mask(lam, lam)].terms, mu)
 
 
 def _is_border_strip(cells):

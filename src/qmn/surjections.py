@@ -80,12 +80,12 @@ class ChainEngine:
     A surjection is a chain of ideals, so every expansion is a sum over
     chains of a product of block values; `folds` computes it per ideal.
     The engine walks the ideals of weight at most `total`, which defaults
-    to the weight of the whole poset.  The successors of an ideal and
-    their weights are built along one linear extension, in time
-    proportional to n times their number.  Building an engine checks the
-    size guard `max_n` against the largest ideal its walk can reach, of at
-    most min(n, total) elements, so every walk refuses an oversized poset
-    first.
+    to the weight of the whole poset.  `weighted_successors` lists the
+    blocks above an ideal with their weights along one linear extension,
+    in time proportional to n times their number; every walk reads that
+    list.  Building an engine checks the size guard `max_n` against the
+    largest ideal its walk can reach, of at most min(n, total) elements,
+    so every walk refuses an oversized poset first.
     """
 
     def __init__(self, p: LabeledPoset, max_n=None, total=None):
@@ -114,18 +114,13 @@ class ChainEngine:
         out.sort()
         return out[1:]
 
-    def successors(self, ideal):
-        """The sorted nonempty blocks B with ideal | B again an ideal, within
-        the weight bound."""
-        return [block for block, _ in self.weighted_successors(ideal)]
-
     def chains(self):
         """Yield all chains of blocks partitioning P (as mask tuples)."""
 
         def walk(ideal, blocks):
             if ideal == self.full:
                 yield blocks
-            for block in self.successors(ideal):
+            for block, _ in self.weighted_successors(ideal):
                 yield from walk(ideal | block, blocks + (block,))
 
         yield from walk(0, ())

@@ -66,6 +66,13 @@ def budgeted_random_poset(n_max, weight_budget, seed) -> LabeledPoset:
     return LabeledPoset(p.n, p.less, p.omega, tuple(weights))
 
 
+def terms_at_partitions(expr):
+    """The terms of an expression whose composition is a partition."""
+    return {
+        alpha: c for alpha, c in expr.terms.items() if all(a >= b for a, b in zip(alpha, alpha[1:]))
+    }
+
+
 @pytest.fixture(scope="session")
 def cross_check_posets(weighted_strip, cancellation_poset):
     """The two fixtures plus 40 small random posets, for checks of the fold

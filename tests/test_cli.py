@@ -16,6 +16,7 @@ from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, m
 from qmn.compositions import partitions_of
 from qmn.posets import random_poset
 from qmn.qsym import QsymExpr
+from qmn.surjections import ChainEngine
 from tests.test_posets import _poset_json
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -154,6 +155,11 @@ def _hook_products_with_a_bad_hook(d):
     return ((h // total * (total + 1), r) for h, r in _real_hook_root_products(d))
 
 
+def _a_half_at_the_full_ideal(engine, *args):
+    # the fold reaches only the whole shape, with one non-integer coefficient
+    yield engine.full, {(3,): Fraction(1, 2)}
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv, message",
     [
@@ -167,7 +173,7 @@ def _hook_products_with_a_bad_hook(d):
             "hook product does not divide the factorial",
         ),
         (
-            schur, "_schur_psihat_terms", lambda lam, max_n: {(3,): Fraction(1, 2)},
+            ChainEngine, "folds", _a_half_at_the_full_ideal,
             ("chi", "--lam", "3", "--mu", "3"), "non-integer character value 1/2",
         ),
     ],

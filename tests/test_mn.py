@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from qmn.mn import (
     is_gbs_via_hasse,
     mn_expansion,
     mn_monomial_expansion,
-    mn_partition_expansion,
+    mn_partition_expansions,
     natural_mn_expansion,
     rooted_surjections,
     strip_data,
@@ -36,7 +37,7 @@ from qmn.posets import (
 from qmn.qsym import QsymExpr, equals, psi_to_monomial
 from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import ChainEngine, mask_elements, monomial_expansion
-from tests.conftest import DATA, budgeted_random_poset
+from tests.conftest import DATA, budgeted_random_poset, terms_at_partitions
 
 
 def test_weighted_strip_tags_and_sign(weighted_strip):
@@ -120,6 +121,20 @@ def test_expansion_matches_monomial_oracle(cross_check_posets):
         assert fused == psi_to_monomial(mn_expansion(p)) == monomial_expansion(p), p.to_json_dict()
 
 
+def test_the_fused_rule_keeps_no_table_of_factorials():
+    """One element of weight 10000 expands as M_(10000) with coefficient 1;
+    a list of every factorial up to the weight would take tens of MiB."""
+    heavy = from_covers(1, [], [1], [10000])
+    tracemalloc.start()
+    try:
+        expansion = mn_monomial_expansion(heavy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert expansion == QsymExpr("M", {(10000,): 1})
+    assert peak < 2**20, peak
+
+
 def test_rooted_surjection_data_is_consistent(cancellation_poset):
     for f, data in rooted_surjections(cancellation_poset):
         assert len(data) == f.ell
@@ -166,11 +181,10 @@ def test_partition_expansion_is_the_rule_at_partitions(cross_check_posets):
         for seed in range(12)
     ]
     for p in shapes + cross_check_posets + randoms:
-        full = mn_expansion(p).terms
-        at_partitions = {
-            alpha: c for alpha, c in full.items() if all(a >= b for a, b in zip(alpha, alpha[1:]))
-        }
-        assert mn_partition_expansion(p) == QsymExpr("PsiHat", at_partitions), p.to_json_dict()
+        expansions = mn_partition_expansions(p, sum(p.d))
+        assert set(expansions) <= {(1 << p.n) - 1}, p.to_json_dict()
+        got = {ideal: expr.terms for ideal, expr in expansions.items()}
+        assert got.get((1 << p.n) - 1, {}) == terms_at_partitions(mn_expansion(p)), p.to_json_dict()
 
 
 def test_fold_values_only_the_blocks_a_step_admits():

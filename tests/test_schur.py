@@ -1,10 +1,9 @@
-from collections import Counter
-
 import pytest
 
-from qmn import schur
+from tests.conftest import terms_at_partitions
 from qmn.compositions import partitions_of
-from qmn.mn import mn_expansion, mn_partition_expansion
+from qmn.mn import mn_expansion
+from qmn.posets import PosetTooLarge
 from qmn.qsym import psi_to_monomial
 from qmn.schur import (
     SkewShape,
@@ -112,33 +111,29 @@ def test_schur_expansion_matches_oracle():
 
 def test_each_shape_is_folded_once(monkeypatch):
     """A table is one fold of the shape (n, n // 2, ..., 1) bounded by n;
-    chi folds its own lambda once."""
-    folds, calls = [], Counter()
-    engine_folds, psihat_terms = ChainEngine.folds, schur._schur_psihat_terms
+    chi folds its own lambda's shape once, bounded by its size."""
+    folds = []
+    engine_folds = ChainEngine.folds
 
     def counted_folds(engine, *args):
-        folds.append((engine.p.n, engine.total))
+        folds.append((engine.p, engine.total))
         return engine_folds(engine, *args)
 
-    def counted(lam, max_n):
-        calls[lam] += 1
-        return psihat_terms(lam, max_n)
+    def shape(lam):
+        return shape_to_poset(SkewShape(lam))
 
     monkeypatch.setattr(ChainEngine, "folds", counted_folds)
-    monkeypatch.setattr(schur, "_schur_psihat_terms", counted)
     for n in range(1, 10):
         folds.clear()
         character_table(n)
-        assert folds == [(sum(n // i for i in range(1, n + 1)), n)], n
+        assert folds == [(shape(tuple(n // i for i in range(1, n + 1))), n)], n
     for n in range(1, 6):
         folds.clear()
         orthogonality_check(n)
-        assert folds == [(sum(n // i for i in range(1, n + 1)), n)], n
-    assert not calls
+        assert folds == [(shape(tuple(n // i for i in range(1, n + 1))), n)], n
     folds.clear()
     assert (chi((2, 1), (3,)), chi((2, 1), (1, 1, 1)), chi((3,), (3,))) == (-1, 2, 1)
-    assert calls == Counter({(2, 1): 2, (3,): 1})
-    assert folds == [(3, 3)] * 3
+    assert folds == [(shape((2, 1)), 3), (shape((2, 1)), 3), (shape((3,)), 3)]
 
 
 def test_each_row_is_its_shapes_own_expansion():
@@ -148,8 +143,25 @@ def test_each_row_is_its_shapes_own_expansion():
             if value:
                 rows.setdefault(lam, {})[mu] = value
         for lam in partitions_of(n):
-            own = mn_partition_expansion(shape_to_poset(SkewShape(lam))).terms
+            own = terms_at_partitions(mn_expansion(shape_to_poset(SkewShape(lam))))
             assert rows[lam] == own, lam
+
+
+@pytest.mark.parametrize(
+    "lam, mu, value",
+    [
+        ((6, 6, 6), (3,) * 6, 90),
+        ((5, 5, 5, 5), (4,) * 5, -60),
+        ((8, 8, 8), (4,) * 6, 90),
+        ((10, 10, 10), (5,) * 6, 90),
+    ],
+)
+def test_chi_past_the_default_guard_matches_border_strip_removal(lam, mu, value):
+    """A raised guard lets chi fold shapes past n = 10, where the table
+    tests do not reach; the default guard refuses each of them."""
+    with pytest.raises(PosetTooLarge):
+        chi(lam, mu)
+    assert chi(lam, mu, max_n=sum(lam)) == chi_bst(lam, mu) == value
 
 
 def _conjugate(lam):

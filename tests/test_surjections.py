@@ -7,14 +7,13 @@ from operator import attrgetter
 
 import pytest
 
-from tests.conftest import budgeted_random_poset
+from tests.conftest import budgeted_random_poset, terms_at_partitions
 from qmn.compositions import coarsenings, compositions_of, partitions_of
 from qmn.mn import (
     _block_contribution,
     _weakly_decreasing,
     mn_expansion,
     mn_monomial_expansion,
-    mn_partition_expansion,
     mn_partition_expansions,
     natural_mn_expansion,
     rooted_surjections,
@@ -119,7 +118,7 @@ _degree = attrgetter("degree")
     [
         (monomial_expansion, _degree, 11),
         (mn_expansion, _degree, 11),
-        (mn_partition_expansion, _degree, 11),
+        (partial(mn_partition_expansions, total=11), lambda rows: rows[2**11 - 1].degree, 11),
         (mn_monomial_expansion, _degree, 11),
         (natural_mn_expansion, _degree, 11),
         (rooted_surjections, len, 2**10),
@@ -128,7 +127,7 @@ _degree = attrgetter("degree")
     ids=[
         "monomial_expansion",
         "mn_expansion",
-        "mn_partition_expansion",
+        "mn_partition_expansions",
         "mn_monomial_expansion",
         "natural_mn_expansion",
         "rooted_surjections",
@@ -163,26 +162,20 @@ def _successors_by_pairs(p, ideal):
     return sorted(out)
 
 
-def test_successors_match_the_definition(cross_check_posets):
+def _weight(p, block):
+    return sum(p.d[x] for x in mask_elements(block))
+
+
+def test_weighted_successors_carry_each_block_weight(cross_check_posets):
+    """The blocks above each ideal are the definition's, sorted, each with
+    its weight."""
+    assert any(max(p.d) > 1 for p in cross_check_posets)
     shapes = [shape_to_poset(SkewShape(lam)) for k in range(1, 8) for lam in partitions_of(k)]
     chain = from_covers(10, [(i, i + 1) for i in range(9)], list(range(1, 11)), [1] * 10)
     antichain = from_covers(8, [], list(range(1, 9)), [1] * 8)
     for p in cross_check_posets + shapes + [chain, antichain]:
         engine = ChainEngine(p)
         # every ideal is a successor block of the empty ideal
-        for ideal in [0] + _successors_by_pairs(p, 0):
-            expected = _successors_by_pairs(p, ideal)
-            assert engine.successors(ideal) == expected, (p.to_json_dict(), ideal)
-
-
-def _weight(p, block):
-    return sum(p.d[x] for x in mask_elements(block))
-
-
-def test_weighted_successors_carry_each_block_weight(cross_check_posets):
-    assert any(max(p.d) > 1 for p in cross_check_posets)
-    for p in cross_check_posets:
-        engine = ChainEngine(p)
         for ideal in [0] + _successors_by_pairs(p, 0):
             expected = [(block, _weight(p, block)) for block in _successors_by_pairs(p, ideal)]
             assert engine.weighted_successors(ideal) == expected, (p.to_json_dict(), ideal)
@@ -268,16 +261,16 @@ def test_a_bounded_fold_reads_every_ideal_of_its_weight(cross_check_posets):
                         if terms:
                             expected[ideal] = terms
                 assert got == expected, (p.to_json_dict(), total)
-            assert all(_weight(p, b) <= total for b in engine.successors(0))
+            assert all(_weight(p, b) <= total for b, _ in engine.weighted_successors(0))
             rule = {
-                ideal: mn_partition_expansion(induced_subposet(p, mask_elements(ideal)))
+                ideal: terms_at_partitions(mn_expansion(induced_subposet(p, mask_elements(ideal))))
                 for ideal in ideals
                 if ideal and _weight(p, ideal) == total
             }
-            got = mn_partition_expansions(p, total)
+            got = {ideal: expr.terms for ideal, expr in mn_partition_expansions(p, total).items()}
             assert set(got) <= set(rule), (p.to_json_dict(), total)
             assert {ideal: rule[ideal] for ideal in got} == got, (p.to_json_dict(), total)
-            assert all(rule[ideal].terms == {} for ideal in set(rule) - set(got))
+            assert all(rule[ideal] == {} for ideal in set(rule) - set(got))
 
 
 def test_a_bounded_engine_guards_its_largest_ideal():
