@@ -162,20 +162,28 @@ def _successors_by_pairs(p, ideal):
     return sorted(out)
 
 
-def _weight(p, block):
-    return sum(p.d[x] for x in mask_elements(block))
-
-
-def test_weighted_successors_carry_each_block_weight(cross_check_posets):
-    """The blocks above each ideal are the definition's, sorted, each with
-    its weight."""
-    assert any(max(p.d) > 1 for p in cross_check_posets)
+def test_successors_match_the_definition(cross_check_posets):
+    """The blocks listed above each ideal are the definition's, sorted."""
     shapes = [shape_to_poset(SkewShape(lam)) for k in range(1, 8) for lam in partitions_of(k)]
     chain = from_covers(10, [(i, i + 1) for i in range(9)], list(range(1, 11)), [1] * 10)
     antichain = from_covers(8, [], list(range(1, 9)), [1] * 8)
     for p in cross_check_posets + shapes + [chain, antichain]:
         engine = ChainEngine(p)
         # every ideal is a successor block of the empty ideal
+        for ideal in [0] + _successors_by_pairs(p, 0):
+            expected = _successors_by_pairs(p, ideal)
+            blocks = [block for block, _ in engine.weighted_successors(ideal)]
+            assert blocks == expected, (p.to_json_dict(), ideal)
+
+
+def _weight(p, block):
+    return sum(p.d[x] for x in mask_elements(block))
+
+
+def test_weighted_successors_carry_each_block_weight(cross_check_posets):
+    assert any(max(p.d) > 1 for p in cross_check_posets)
+    for p in cross_check_posets:
+        engine = ChainEngine(p)
         for ideal in [0] + _successors_by_pairs(p, 0):
             expected = [(block, _weight(p, block)) for block in _successors_by_pairs(p, ideal)]
             assert engine.weighted_successors(ideal) == expected, (p.to_json_dict(), ideal)
