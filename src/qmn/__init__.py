@@ -22,7 +22,7 @@ class PosetTooLarge(ValueError):
 
 # Each submodule and the public names it exports.
 _EXPORTS = {
-    "compositions": ("coarsenings", "is_refinement", "pi", "rearrangements", "z"),
+    "compositions": ("coarsenings", "rearrangements", "z"),
     "mn": (
         "StripData",
         "is_generalized_border_strip",
@@ -36,13 +36,12 @@ _EXPORTS = {
     "posets": (
         "LabeledPoset",
         "from_covers",
-        "induced_subposet",
         "is_naturally_labeled",
         "load_poset",
         "natural_relabeling",
         "random_poset",
     ),
-    "qsym": ("QsymExpr", "equals", "evaluate", "power_sum_symmetric", "psi_to_monomial"),
+    "qsym": ("QsymExpr", "equals", "psi_to_monomial"),
     "rewrites": ("add_edge_pair", "reduce_to_natural_chains", "split_weight"),
     "schur": ("SkewShape", "chi", "chi_bst", "shape_to_poset"),
     "surjections": (

@@ -5,21 +5,22 @@ raises ArithmeticError), 2 input error, 3 size guard exceeded.  The guard
 is 10 elements (10 parts for identities --d) unless --max-n overrides it;
 the QMN_MAX_N environment variable, read once, is the default of --max-n.
 
-Each command imports the modules it runs inside the command, so a one-shot
-request compiles no other command's modules; `json` loads only when a
-poset file is read or --json prints.
+This module parses, prints and sets exit codes; each command's work is a
+library call, imported inside the command, so a request compiles only the
+modules its command runs.  `verify` compiles posets, qsym, surjections and
+mn; `random-check` those and rewrites; `identities` only identities and
+compositions.  `compositions` is imported only where a composition is
+parsed or printed, so a passing `verify` or `random-check` never compiles
+it; `json` loads only when a poset file is read or --json prints.  No
+module imports this one: run as `python -m qmn.cli` it is `__main__`, and
+an import would compile it a second time.
 """
 
-from __future__ import annotations
-
 import argparse
-import operator
 import os
 import sys
-from fractions import Fraction
 
 from . import DEFAULT_MAX_N, PosetError, PosetTooLarge
-from .compositions import format_composition, parse_composition
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,6 +35,8 @@ def _print_json(payload):
 
 
 def _print_expr(expr, as_json: bool):
+    from .compositions import format_composition
+
     if as_json:
         _print_json(expr.to_json_dict())
     else:
@@ -74,25 +77,16 @@ def cmd_oracle(args) -> int:
 def _verify_poset(poset, max_n):
     """Compare the two pipelines; returns (ok, first difference or None)."""
     from . import mn, surjections
+    from .qsym import first_difference
 
     via_mn = mn.mn_monomial_expansion(poset, max_n=max_n)
-    oracle = surjections.monomial_expansion(poset, max_n=max_n)
-    return _compare(via_mn, oracle)
-
-
-def _compare(via_mn, oracle):
-    """(ok, first difference or None) between the rule and the oracle, both in M."""
-    if via_mn.terms == oracle.terms:
-        return True, None
-    for alpha in sorted(set(via_mn.terms) | set(oracle.terms)):
-        a = via_mn.coefficient(alpha)
-        b = oracle.coefficient(alpha)
-        if a != b:
-            return False, (alpha, a, b)
-    return True, None
+    diff = first_difference(via_mn, surjections.monomial_expansion(poset, max_n=max_n))
+    return diff is None, diff
 
 
 def _describe(diff) -> str:
+    from .compositions import format_composition
+
     alpha, a, b = diff
     return f"coefficient of M_{format_composition(alpha)} differs: rule {a} vs oracle {b}"
 
@@ -109,6 +103,7 @@ def cmd_verify(args) -> int:
 
 def cmd_schur(args) -> int:
     from . import schur
+    from .compositions import format_composition
 
     table = schur.character_table(args.n, args.max_n)
     names = {lam: format_composition(lam) for lam in dict.fromkeys(lam for lam, _, _ in table)}
@@ -123,6 +118,7 @@ def cmd_schur(args) -> int:
 
 def cmd_chi(args) -> int:
     from . import schur
+    from .compositions import parse_composition
 
     lam = parse_composition(args.lam)
     mu = parse_composition(args.mu)
@@ -130,83 +126,30 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _refuse_unprintable_factorial(n):
-    """Refuse n, before n! is computed, when n! has more digits than
-    Python's int-to-string limit allows (a limit of 0 means none)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        bound, product = 10**limit, 1
-        for k in range(2, n + 1):
-            product *= k
-            if product >= bound:
-                raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints")
-
-
 def cmd_identities(args) -> int:
     from . import identities
+    from .compositions import parse_composition
 
-    d = parse_composition(args.d)
-    if len(d) > args.max_n:
-        raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {args.max_n}")
-    if args.samples < 0:
-        raise ValueError("--samples must be nonnegative")
-    _refuse_unprintable_factorial(sum(d))  # before any sum runs
-    total = identities.probabilistic_sum(d)
-    q_ok = identities.q_probabilistic_sum(d) == identities.ONE
-    lhs, rhs = identities.linext_identity_check(d)
-    report = {
-        "d": format_composition(d),
-        "sum": f"{total.numerator}/{total.denominator}",
-        "q_identity": q_ok,
-        "linext_lhs": str(lhs),
-        "linext_rhs": str(rhs),
-    }
-    if args.samples:
-        freqs = identities.staircase_monte_carlo(d, args.samples, args.seed)
-        report["monte_carlo"] = {
-            format_composition(beta): f"{f.numerator}/{f.denominator}"
-            for beta, f in sorted(freqs.items())
-        }
+    ok, report = identities.report(parse_composition(args.d), args.samples, args.seed, args.max_n)
     if args.json:
         _print_json(report)
     else:
         for key, value in report.items():
             print(f"{key}\t{value}")
-    ok = total == 1 and q_ok and lhs == rhs
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_random_check(args) -> int:
-    from . import mn, rewrites, surjections
-    from .posets import random_poset
+    from . import rewrites
 
-    if args.count < 1 or args.n_max < 1:
-        raise ValueError("--count and --n-max must be at least 1")
-    max_n = args.max_n
-    if args.n_max >= max_n:  # a weight split adds one element
-        note = "" if args.n_max > max_n else " once a weight split adds an element"
-        raise PosetTooLarge(f"--n-max {args.n_max} exceeds guard {max_n}{note}")
     main_ok = edge_ok = split_ok = 0
-    for i in range(args.count):
-        n = 1 + (i % args.n_max)
-        seed = args.seed * 10**6 + i
-        poset = random_poset(n, Fraction(1, 2), seed=seed)
-        oracle = surjections.monomial_expansion(poset, max_n=max_n)
-        ok, diff = _compare(mn.mn_monomial_expansion(poset, max_n=max_n), oracle)
-        wholes = (oracle, mn.mn_expansion(poset, max_n=max_n))
-        pair = rewrites.first_incomparable_pair(poset)
-        edge = pair is None or _check_rewrite(
-            wholes, rewrites.add_edge_pair(poset, *pair), operator.add, max_n
-        )
-        vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
-        split = vertex is None or _check_rewrite(
-            wholes, rewrites.split_weight(poset, vertex, 1, poset.d[vertex] - 1),
-            operator.sub, max_n
-        )
-        main_ok += ok
+    for seed, n, diff, edge, split in rewrites.random_check(
+        args.count, args.n_max, args.seed, args.max_n
+    ):
+        main_ok += diff is None
         edge_ok += edge
         split_ok += split
-        failed = [] if ok else [f"main ({_describe(diff)})"]
+        failed = [] if diff is None else [f"main ({_describe(diff)})"]
         failed += [name for name, good in (("addEdge", edge), ("splitWeight", split)) if not good]
         if failed:
             # random_poset(n, 1/2, seed=seed) rebuilds the poset
@@ -217,17 +160,6 @@ def cmd_random_check(args) -> int:
     )
     failures = 3 * args.count - main_ok - edge_ok - split_ok
     return EXIT_OK if failures == 0 else EXIT_FAIL
-
-
-def _check_rewrite(wholes, parts, combine, max_n) -> bool:
-    """Whether K(P) == combine(K(p1), K(p2)) in both the oracle and the rule,
-    for parts = (p1, p2) and wholes = (the oracle's K(P), the rule's K(P))."""
-    from . import mn, surjections
-
-    return all(
-        whole == combine(*(expand(q, max_n=max_n) for q in parts))
-        for expand, whole in zip((surjections.monomial_expansion, mn.mn_expansion), wholes)
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,14 +1,17 @@
-"""Integer compositions, the refinement order, and the scalars z and pi.
+"""Integer compositions, their coarsenings, and the scalar z.
 
 Compositions are plain tuples of positive integers.  Partitions are
 compositions with weakly decreasing parts.  All arithmetic is exact.
 coarsening_blocks is the single walk over the cuts of a composition into
-consecutive runs; coarsenings, compositions_of and the PsiHat->M
-conversion read it.  The coarsening identities sum over the same cuts by
-their own recursions and import only check_composition from here.
-"""
+consecutive runs; coarsenings and the PsiHat->M conversion read it.  The
+coarsening identities sum over the same cuts by their own recursions and
+import only check_composition and format_composition from here.
 
-from __future__ import annotations
+The CLI and `qsym` import this module inside the functions that check,
+parse, print or convert a composition.  The folds build their
+compositions themselves, so `verify` and `random-check` compile this
+module only to report a failed check.
+"""
 
 import math
 from collections import Counter
@@ -75,41 +78,6 @@ def coarsenings(alpha) -> set:
     return {tuple([sum(run) for run in blocks]) for blocks in coarsening_blocks(alpha)}
 
 
-def refinement_blocks(alpha, beta) -> list:
-    """Split alpha into consecutive blocks summing to the parts of beta.
-
-    Raises ValueError if alpha does not refine beta.
-    """
-    alpha = check_composition(alpha)
-    beta = check_composition(beta)
-    blocks = []
-    pos = 0
-    for b in beta:
-        block = []
-        acc = 0
-        while acc < b:
-            if pos >= len(alpha):
-                raise ValueError(f"{alpha} does not refine {beta}")
-            block.append(alpha[pos])
-            acc += alpha[pos]
-            pos += 1
-        if acc != b:
-            raise ValueError(f"{alpha} does not refine {beta}")
-        blocks.append(tuple(block))
-    if pos != len(alpha):
-        raise ValueError(f"{alpha} does not refine {beta}")
-    return blocks
-
-
-def is_refinement(alpha, beta) -> bool:
-    """True iff beta is obtained from alpha by summing consecutive runs."""
-    try:
-        refinement_blocks(alpha, beta)
-    except ValueError:
-        return False
-    return True
-
-
 def z(alpha) -> int:
     """The scalar prod_i i^{m_i} m_i! over part multiplicities of alpha."""
     alpha = check_composition(alpha)
@@ -130,11 +98,6 @@ def blocks_pi(blocks) -> int:
     return result
 
 
-def pi(alpha, beta) -> int:
-    """Product over beta's parts of the running sums of the refining blocks."""
-    return blocks_pi(refinement_blocks(alpha, beta))
-
-
 def rearrangements(mu) -> set:
     """All distinct orderings of the parts of the partition mu.
 
@@ -145,13 +108,6 @@ def rearrangements(mu) -> set:
     for part in check_partition(mu):
         out = {w[:i] + (part,) + w[i:] for w in out for i in range(len(w) + 1)}
     return out
-
-
-def compositions_of(n: int):
-    """All compositions of n, in canonical order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sorted(coarsenings((1,) * n)) if n else [()]
 
 
 def partitions_of(n: int, max_part: int | None = None):

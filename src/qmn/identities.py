@@ -20,17 +20,20 @@ no coefficient carries, and unpacks each sum once.  The hook-length
 check tests each hook quotient for integrality, so it streams the cuts
 by first cut point, one (hook product, root product) pair per cut;
 omega_probability and beta_tree cut d once by the block sizes beta.
+
+`report` runs every check on one composition and returns what `qmn
+identities` prints; the command only prints it and sets the exit code.
 """
 
-from __future__ import annotations
-
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
-from .compositions import check_composition
+from . import DEFAULT_MAX_N, PosetTooLarge
+from .compositions import check_composition, format_composition
 
 
 # --- exact integer polynomials in q ----------------------------------------
@@ -358,3 +361,54 @@ def staircase_monte_carlo(d, samples, seed):
         _classify(columns, [rng.randrange(c) + 1 for c in columns]) for _ in range(samples)
     )
     return {beta: Fraction(c, samples) for beta, c in counts.items()}
+
+
+# --- the report of `qmn identities` ----------------------------------------
+
+
+def _refuse_unprintable_factorial(n):
+    """Refuse n, before n! is computed, when n! has more digits than
+    Python's int-to-string limit allows (a limit of 0 means none)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        bound, product = 10**limit, 1
+        for k in range(2, n + 1):
+            product *= k
+            if product >= bound:
+                raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints")
+
+
+def report(d, samples=0, seed=0, max_n=None):
+    """(ok, fields): every check on the composition d, each field as the
+    text `qmn identities` prints, and whether all three identities hold.
+
+    The fields are d, the coarsening sum, the q-identity, both sides of the
+    hook-count identity and, when samples > 0, the frequency of each block
+    pattern in `samples` seeded staircase draws.  d may have at most max_n
+    parts (None means DEFAULT_MAX_N); a refused input raises before any sum
+    runs, and so does a d whose factorial has too many digits to print.
+    """
+    d = check_composition(d)
+    limit = DEFAULT_MAX_N if max_n is None else max_n
+    if len(d) > limit:
+        raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {limit}")
+    if samples < 0:
+        raise ValueError("--samples must be nonnegative")
+    _refuse_unprintable_factorial(sum(d))
+    total = probabilistic_sum(d)
+    q_ok = q_probabilistic_sum(d) == ONE
+    lhs, rhs = linext_identity_check(d)
+    fields = {
+        "d": format_composition(d),
+        "sum": f"{total.numerator}/{total.denominator}",
+        "q_identity": q_ok,
+        "linext_lhs": str(lhs),
+        "linext_rhs": str(rhs),
+    }
+    if samples:
+        freqs = staircase_monte_carlo(d, samples, seed)
+        fields["monte_carlo"] = {
+            format_composition(beta): f"{f.numerator}/{f.denominator}"
+            for beta, f in sorted(freqs.items())
+        }
+    return total == 1 and q_ok and lhs == rhs, fields

@@ -34,8 +34,6 @@ size guard when it is built, and wraps the fold's output with
 `QsymExpr._from_fold`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import comb, factorial, perm
 
@@ -95,11 +93,11 @@ def block_strip_data(p: LabeledPoset, mask) -> StripData:
     """Strip data of the sub-poset that p induces on the elements of `mask`.
 
     `mask` must be convex, as for `_tag_masks`: a block of a chain of order
-    ideals, or the whole poset.  Equals
-    strip_data(induced_subposet(p, mask_elements(mask))): the tags and the
-    root index the block's elements in sorted order.  Hasse edges are those
-    of the block, classified by the ambient labels, since only their
-    relative order matters.
+    ideals, or the whole poset.  Equals strip_data of that sub-poset, with
+    its elements renumbered in sorted order and its labels in their
+    relative order: the tags and the root index the block's elements in
+    sorted order.  Hasse edges are those of the block, classified by the
+    ambient labels, since only their relative order matters.
     """
     minus, plus = _tag_masks(p, mask)
     if minus & plus:

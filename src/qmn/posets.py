@@ -19,8 +19,6 @@ every other builder here calls; it checks every field it stores.  It also holds 
 `load_poset` checks before a file's relation is closed.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -252,24 +250,6 @@ def natural_relabeling(p: LabeledPoset) -> LabeledPoset:
 def relabeled(p: LabeledPoset, omega) -> LabeledPoset:
     """The poset p with the labeling omega; its order and weights are kept."""
     return LabeledPoset(p.n, p.less, omega, p.d)
-
-
-def induced_subposet(p: LabeledPoset, subset):
-    """Restriction of p to `subset`, elements renumbered in sorted order.
-
-    Labels are renormalized onto {1..k} preserving their relative order,
-    which keeps every strict/weak classification intact.
-    """
-    elements = sorted(subset)
-    if not elements:
-        raise PosetError("subset must be nonempty")
-    index = {x: i for i, x in enumerate(elements)}
-    less = {(index[a], index[b]) for a, b in p.less if a in index and b in index}
-    ranked = sorted(elements, key=lambda x: p.omega[x])
-    omega = [0] * len(elements)
-    for rank, x in enumerate(ranked, start=1):
-        omega[index[x]] = rank
-    return LabeledPoset(len(elements), less, omega, [p.d[x] for x in elements])
 
 
 def random_poset(n, edge_density, seed) -> LabeledPoset:

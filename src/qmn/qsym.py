@@ -12,27 +12,21 @@ and each composition and drops zero coefficients.  Terms that are already
 checked are stored by `QsymExpr._trusted`, which checks nothing: the sums,
 differences and multiples of expressions, whose operands were checked, and
 the output of the ideal-lattice fold, which `QsymExpr._from_fold` wraps,
-dropping zeros and storing `Fraction`s, since the fold builds only
-compositions.
+storing `Fraction`s: the fold builds only compositions and drops its
+cancelled coefficients before it decodes them, so nothing is dropped here.
+`first_difference` finds where two expressions differ, for `verify` and
+`random-check` to report.
+
+This module imports `compositions` inside the functions that check, sort,
+print or convert a composition.  A `verify` or `random-check` run builds
+its expressions from folds and compares their terms, so it never compiles
+`compositions`; `expand` and `oracle` compile it to print their terms.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from itertools import combinations
-
-from .compositions import (
-    blocks_pi,
-    canonical_key,
-    check_composition,
-    check_partition,
-    coarsening_blocks,
-    format_composition,
-    rearrangements,
-    z,
-)
 
 BASES = ("M", "Psi", "PsiHat")
+_ZERO = Fraction(0)
 
 
 class QsymExpr:
@@ -42,6 +36,8 @@ class QsymExpr:
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis, terms):
+        from .compositions import check_composition
+
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         clean = {}
@@ -64,11 +60,12 @@ class QsymExpr:
 
     @classmethod
     def _from_fold(cls, basis, terms, denominator=None):
-        """The expression of a fold's integer terms, each divided by
+        """The expression of a fold's nonzero integer terms, each divided by
         `denominator` (None for 1); equal to QsymExpr(basis, that map).
-        Every key is a composition by construction, so none is checked."""
+        Every key is a composition by construction, so none is checked, and
+        `ChainEngine.folds` yields no zero coefficient, so none is dropped."""
         return cls._trusted(
-            basis, {alpha: Fraction(c, denominator) for alpha, c in terms.items() if c}
+            basis, {alpha: Fraction(c, denominator) for alpha, c in terms.items()}
         )
 
     def __eq__(self, other):
@@ -84,10 +81,12 @@ class QsymExpr:
 
     def items(self):
         """Terms in canonical composition order."""
+        from .compositions import canonical_key
+
         return tuple(sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0])))
 
     def coefficient(self, alpha) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
+        return self.terms.get(tuple(alpha), _ZERO)
 
     @property
     def degree(self):
@@ -124,6 +123,8 @@ class QsymExpr:
         return QsymExpr._trusted(self.basis, acc)
 
     def to_json_dict(self) -> dict:
+        from .compositions import format_composition
+
         return {
             "basis": self.basis,
             "terms": [
@@ -143,6 +144,8 @@ def psi_to_monomial(expr: QsymExpr) -> QsymExpr:
     PsiHat_alpha drops the z_alpha factor.  Each cut of alpha into runs
     gives beta as the run sums and pi(alpha, beta) from the runs.
     """
+    from .compositions import blocks_pi, coarsening_blocks, z
+
     if expr.basis == "M":
         return expr
     acc = {}
@@ -152,51 +155,31 @@ def psi_to_monomial(expr: QsymExpr) -> QsymExpr:
             # from a list: tuple() resizes a tuple filled from a lazy iterator,
             # and freed resized tuples pile up on CPython's free lists (peak RSS)
             beta = tuple([sum(run) for run in blocks])
-            acc[beta] = acc.get(beta, Fraction(0)) + coeff * Fraction(scale, blocks_pi(blocks))
+            acc[beta] = acc.get(beta, 0) + coeff * Fraction(scale, blocks_pi(blocks))
     return QsymExpr("M", acc)
 
 
 def psihat_to_psi(expr: QsymExpr) -> QsymExpr:
+    from .compositions import z
+
     if expr.basis != "PsiHat":
         raise ValueError("expected a PsiHat-basis expression")
     return QsymExpr("Psi", {a: c / z(a) for a, c in expr.terms.items()})
 
 
-def psi_to_psihat(expr: QsymExpr) -> QsymExpr:
-    if expr.basis != "Psi":
-        raise ValueError("expected a Psi-basis expression")
-    return QsymExpr("PsiHat", {a: c * z(a) for a, c in expr.terms.items()})
-
-
-def power_sum_symmetric(mu) -> QsymExpr:
-    """The power sum symmetric function p_mu in the Psi basis.
-
-    p_mu is the sum of Psi_alpha over all rearrangements alpha of mu.
-    """
-    mu = check_partition(mu)
-    return QsymExpr("Psi", {alpha: Fraction(1) for alpha in rearrangements(mu)})
-
-
-def evaluate(expr: QsymExpr, point) -> Fraction:
-    """Substitute x_1..x_m for the given rationals; all later variables are 0.
-
-    M_alpha maps to the sum over strictly increasing index tuples of the
-    corresponding monomial; terms longer than the point vanish.
-    """
-    point = [Fraction(v) for v in point]
-    m = len(point)
-    total = Fraction(0)
-    for alpha, coeff in psi_to_monomial(expr).terms.items():
-        if len(alpha) > m:
-            continue
-        for idx in combinations(range(m), len(alpha)):
-            term = Fraction(1)
-            for i, a in zip(idx, alpha):
-                term *= point[i] ** a
-            total += coeff * term
-    return total
-
-
 def equals(a: QsymExpr, b: QsymExpr) -> bool:
     """True iff both expressions expand to the same monomial-basis map."""
     return psi_to_monomial(a).terms == psi_to_monomial(b).terms
+
+
+def first_difference(a: QsymExpr, b: QsymExpr):
+    """None when a and b have the same terms; otherwise (alpha, coefficient
+    in a, coefficient in b) for the least composition alpha, in tuple
+    order, at which they differ."""
+    if a.terms == b.terms:
+        return None
+    for alpha in sorted(set(a.terms) | set(b.terms)):
+        x, y = a.coefficient(alpha), b.coefficient(alpha)
+        if x != y:
+            return alpha, x, y
+    return None

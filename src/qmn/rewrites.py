@@ -13,15 +13,23 @@ Each rewrite names only the pairs it adds to the relation it starts from;
 `posets.from_covers` checks them and closes the result.  The two halves
 of a weight split share one closed relation, relabeled by
 `posets.relabeled`.
+
+`random_check` runs both rewrites, and the rule against the oracle, on a
+seeded stream of random posets: it is the body of `qmn random-check`,
+which only prints what it returns.
 """
 
-from __future__ import annotations
+import operator
+from fractions import Fraction
 
 from .posets import (
+    DEFAULT_MAX_N,
     LabeledPoset,
     PosetError,
+    PosetTooLarge,
     check_size_guard,
     from_covers,
+    random_poset,
     relabeled,
     topological_order,
 )
@@ -139,3 +147,54 @@ def reduce_to_natural_chains(p: LabeledPoset, max_n=None):
         merged_marks = marks[:k] + marks[k + 1:]
         stack.append((-sign, chain_from_marks(merged_marks, merged_weights)))
     return out
+
+
+def random_check(count, n_max, seed=0, max_n=None):
+    """Check the rule against the oracle, and both rewrites in both, on
+    `count` random posets; one row per poset, in order:
+    (poset seed, n, first difference or None, addEdge holds, splitWeight holds).
+
+    Poset i has n = 1 + i % n_max elements and is
+    random_poset(n, 1/2, seed=seed * 10**6 + i).  The first difference is
+    `qsym.first_difference` of the rule and the oracle in M.  A weight
+    split adds one element, so n_max must stay below the guard `max_n`
+    (None means DEFAULT_MAX_N).
+    """
+    from . import mn, surjections
+    from .qsym import first_difference
+
+    if count < 1 or n_max < 1:
+        raise ValueError("--count and --n-max must be at least 1")
+    max_n = DEFAULT_MAX_N if max_n is None else max_n
+    if n_max >= max_n:
+        note = "" if n_max > max_n else " once a weight split adds an element"
+        raise PosetTooLarge(f"--n-max {n_max} exceeds guard {max_n}{note}")
+    rows = []
+    for i in range(count):
+        n = 1 + (i % n_max)
+        poset_seed = seed * 10**6 + i
+        poset = random_poset(n, Fraction(1, 2), seed=poset_seed)
+        oracle = surjections.monomial_expansion(poset, max_n=max_n)
+        diff = first_difference(mn.mn_monomial_expansion(poset, max_n=max_n), oracle)
+        wholes = (oracle, mn.mn_expansion(poset, max_n=max_n))
+        pair = first_incomparable_pair(poset)
+        edge = pair is None or _check_rewrite(
+            wholes, add_edge_pair(poset, *pair), operator.add, max_n
+        )
+        vertex = next((x for x in range(poset.n) if poset.d[x] >= 2), None)
+        split = vertex is None or _check_rewrite(
+            wholes, split_weight(poset, vertex, 1, poset.d[vertex] - 1), operator.sub, max_n
+        )
+        rows.append((poset_seed, n, diff, edge, split))
+    return rows
+
+
+def _check_rewrite(wholes, parts, combine, max_n) -> bool:
+    """Whether K(P) == combine(K(p1), K(p2)) in both the oracle and the rule,
+    for parts = (p1, p2) and wholes = (the oracle's K(P), the rule's K(P))."""
+    from . import mn, surjections
+
+    return all(
+        whole == combine(*(expand(q, max_n=max_n) for q in parts))
+        for expand, whole in zip((surjections.monomial_expansion, mn.mn_expansion), wholes)
+    )

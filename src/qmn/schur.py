@@ -16,8 +16,6 @@ shape.  Nothing is cached from one call to the next.
 `SkewShape(outer, inner=())`: both partitions, and inner inside outer.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -90,7 +88,7 @@ def _same_size(lam, mu):
 
 def _character(terms, mu) -> int:
     """chi_lambda(mu) from the PsiHat terms of s_lambda; it must be an integer."""
-    value = terms.get(mu, Fraction(0))
+    value = terms.get(mu, 0)  # an int has denominator 1 too
     if value.denominator != 1:
         raise ArithmeticError(f"non-integer character value {value}")
     return int(value)

@@ -18,8 +18,9 @@ from the empty ideal, taking the ideals in increasing weight and freeing
 each weight layer once it is pushed.  Inside it a prefix composition is
 the integer whose bits are its partial sums less one, so a part that
 closes at weight top just sets bit top - 1; the keys are decoded once,
-when a map is yielded, and the expansions wrap it with
-`QsymExpr._from_fold`, which checks no key.  The traversal takes a weight
+when a map is yielded, after the keys whose coefficients cancelled are
+dropped, and the expansions wrap it with `QsymExpr._from_fold`, which
+checks no key and drops nothing.  The traversal takes a weight
 bound, the weight of P by default: it then yields the map at every
 ideal of that weight, and `ChainEngine.fold` reads the full ideal.
 Since the part of a chain that ends at an ideal I is a chain of I's own
@@ -37,8 +38,6 @@ the size guard for it, against the largest ideal the walk can reach.
 walk; the poset it reads was validated by its constructor
 `posets.LabeledPoset`.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -155,7 +154,9 @@ class ChainEngine:
         Inside the walk a prefix is the integer whose bits are its partial
         sums less one, so closing a part at top is `key | 1 << (top - 1)`,
         and no tuple is built or hashed.  The keys are decoded once, when a
-        map is yielded.
+        map is yielded, and a key whose coefficient cancelled to 0 is
+        dropped first, undecoded: this is the one place the expansions drop
+        zeros, so a yielded map holds no zero coefficient.
         """
         total, values = self.total, {}
         layers = {0: {0: {0: {0: 1}}}}  # weight -> ideal -> carry -> {prefix key: coeff}
@@ -189,7 +190,7 @@ class ChainEngine:
                                 out[key] = out.get(key, 0) + scale * coeff
         for ideal, states in layers.get(total, {}).items():
             if 0 in states:
-                yield ideal, {_composition(key): coeff for key, coeff in states[0].items()}
+                yield ideal, {_composition(key): c for key, c in states[0].items() if c}
 
     def fold(self, block_value, step=_one_part):
         """Sum over all chains of the product of their block values.

@@ -9,16 +9,13 @@ from qmn.compositions import (
     canonical_key,
     coarsening_blocks,
     coarsenings,
-    compositions_of,
     format_composition,
-    is_refinement,
     parse_composition,
     partitions_of,
-    pi,
     rearrangements,
-    refinement_blocks,
     z,
 )
+from tests.reference import compositions_of, is_refinement, pi, refinement_blocks
 
 compositions = st.lists(st.integers(1, 5), min_size=1, max_size=6).map(tuple)
 

@@ -1,9 +1,13 @@
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+from qmn import PosetTooLarge, identities
+from qmn.cli import main
 from qmn.compositions import coarsening_blocks
 from qmn.identities import (
     ONE,
@@ -20,6 +24,7 @@ from qmn.identities import (
     probabilistic_sum,
     q_integer,
     q_probabilistic_sum,
+    report,
     staircase_monte_carlo,
     QPolynomial,
 )
@@ -232,3 +237,57 @@ def test_monte_carlo_stream_is_pinned():
         (3, 1): Fraction(1, 60),
         (4,): Fraction(7, 60),
     }
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "d, samples, seed",
+    [
+        ((1, 2, 2), 500, 1),
+        ((1, 2, 2), 50, 1),
+        ((2,) * 10, 10, 0),
+        ((40,) * 10, 10, 0),
+        ((1, 1, 1, 2, 2, 3, 1, 2, 3, 1), 200, 1),
+        ((400, 400, 400), 0, 0),
+    ],
+)
+def test_report_returns_what_the_command_prints(capsys, d, samples, seed):
+    ok, fields = report(d, samples, seed)
+    assert ok and fields["sum"] == "1/1" and fields["q_identity"] is True
+    assert fields["linext_lhs"] == fields["linext_rhs"] == str(math.factorial(sum(d)))
+    assert ("monte_carlo" in fields) == (samples > 0)
+    argv = ["identities", f"--d={','.join(map(str, d))}", f"--samples={samples}", f"--seed={seed}"]
+    text = "".join(f"{key}\t{value}\n" for key, value in fields.items())
+    assert _cli(capsys, *argv) == (0, text, "")
+    assert _cli(capsys, *argv, "--json") == (0, json.dumps(fields) + "\n", "")
+
+
+def test_a_false_identity_reports_not_ok(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "probabilistic_sum", lambda d: Fraction(2))
+    ok, fields = report((1, 2))
+    assert not ok and fields["sum"] == "2/1"
+    text = "".join(f"{key}\t{value}\n" for key, value in fields.items())
+    assert _cli(capsys, "identities", "--d=1,2") == (1, text, "")
+
+
+def test_report_refuses_before_any_sum(monkeypatch):
+    def refuse(d):
+        raise AssertionError("a coarsening sum ran before the input was checked")
+
+    monkeypatch.setattr(identities, "probabilistic_sum", refuse)
+    with pytest.raises(PosetTooLarge, match="^--d has 11 parts, exceeding guard 10$"):
+        report((1,) * 11)
+    with pytest.raises(PosetTooLarge, match="^--d has 3 parts, exceeding guard 2$"):
+        report((1, 1, 1), max_n=2)
+    with pytest.raises(ValueError, match="^--samples must be nonnegative$"):
+        report((1, 2), samples=-5)
+    with pytest.raises(ValueError, match="^composition parts must be positive integers"):
+        report((1, 0))
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        with pytest.raises(ValueError, match="^--d sums to 2000000, and 2000000! has more digits"):
+            report((2000000,))

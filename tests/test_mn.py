@@ -29,7 +29,6 @@ from qmn.mn import (
 from qmn.posets import (
     LabeledPoset,
     from_covers,
-    induced_subposet,
     is_naturally_labeled,
     natural_relabeling,
     random_poset,
@@ -38,6 +37,7 @@ from qmn.qsym import QsymExpr, equals, psi_to_monomial
 from qmn.schur import SkewShape, shape_to_poset
 from qmn.surjections import ChainEngine, mask_elements, monomial_expansion
 from tests.conftest import DATA, budgeted_random_poset, terms_at_partitions
+from tests.reference import induced_subposet
 
 
 def test_weighted_strip_tags_and_sign(weighted_strip):

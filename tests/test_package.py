@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Each public name of the package and the module it comes from.
 HOMES = {
-    "compositions": ("coarsenings", "is_refinement", "pi", "rearrangements", "z"),
+    "compositions": ("coarsenings", "rearrangements", "z"),
     "mn": (
         "StripData",
         "is_generalized_border_strip",
@@ -27,13 +27,12 @@ HOMES = {
     "posets": (
         "LabeledPoset",
         "from_covers",
-        "induced_subposet",
         "is_naturally_labeled",
         "load_poset",
         "natural_relabeling",
         "random_poset",
     ),
-    "qsym": ("QsymExpr", "equals", "evaluate", "power_sum_symmetric", "psi_to_monomial"),
+    "qsym": ("QsymExpr", "equals", "psi_to_monomial"),
     "rewrites": ("add_edge_pair", "reduce_to_natural_chains", "split_weight"),
     "schur": ("SkewShape", "chi", "chi_bst", "shape_to_poset"),
     "surjections": (
@@ -56,7 +55,7 @@ def _run_bare(code, *args):
 
 
 def test_all_keeps_its_names():
-    assert len(NAMES) == 43
+    assert len(NAMES) == 38
     assert sorted(qmn.__all__) == NAMES
 
 
@@ -107,12 +106,19 @@ def test_import_qmn_loads_no_submodule_until_a_name_is_used():
         ),
         (
             ("verify", "--poset", "data/weighted_strip.json"),
-            ("qmn.schur", "qmn.identities", "qmn.rewrites", "random"),
+            (
+                "qmn.schur", "qmn.identities", "qmn.rewrites", "qmn.compositions", "random",
+                "__future__",
+            ),
         ),
         (("schur", "--n", "4"), ("qmn.identities", "qmn.rewrites", "random")),
         (("chi", "--lam", "1", "--mu", "1"), ("qmn.identities", "qmn.rewrites", "random")),
+        (
+            ("random-check", "--count", "3", "--seed", "1"),
+            ("qmn.schur", "qmn.identities", "qmn.compositions"),
+        ),
     ],
-    ids=["identities", "verify", "schur", "chi"],
+    ids=["identities", "verify", "schur", "chi", "random-check"],
 )
 def test_a_command_loads_only_its_own_modules(argv, absent):
     code = (
@@ -123,6 +129,33 @@ def test_a_command_loads_only_its_own_modules(argv, absent):
     returncode, out, err = _run_bare(code, ",".join(absent), *argv)
     assert (returncode, err) == (0, "")
     assert out.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--poset", "data/weighted_strip.json"),
+        ("expand", "--poset", "data/cancellation.json", "--basis", "Psi", "--json"),
+        ("oracle", "--poset", "data/cancellation.json"),
+        ("schur", "--n", "3", "--json"),
+        ("chi", "--lam", "2,1", "--mu", "3"),
+        ("identities", "--d", "1,2,2", "--samples", "5", "--json"),
+        ("random-check", "--count", "3", "--seed", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_imports_the_cli_it_runs_as(argv):
+    # runpy.run_module(..., run_name="__main__", alter_sys=True) is what `python -m` runs
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('qmn.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('qmn.cli' in sys.modules)\n"
+    )
+    returncode, out, err = _run_bare(code, *argv)
+    assert (returncode, err) == (0, "")
+    assert out.splitlines()[-1] == "False"
 
 
 def test_posets_re_exports_the_errors_and_the_guard():

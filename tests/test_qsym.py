@@ -3,16 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qmn.compositions import compositions_of
-from qmn.qsym import (
-    QsymExpr,
-    equals,
-    evaluate,
-    power_sum_symmetric,
-    psi_to_monomial,
-    psi_to_psihat,
-    psihat_to_psi,
-)
+from qmn.qsym import QsymExpr, equals, first_difference, psi_to_monomial, psihat_to_psi
+from tests.reference import compositions_of, evaluate, power_sum_symmetric, psi_to_psihat
 
 
 def M(*terms):
@@ -160,3 +152,14 @@ def test_an_expression_minus_itself_keeps_no_zero_term():
     assert (a + a.scaled(-1)).terms == {} and a.scaled(0).terms == {}
     b = M(((1, 2), 1), ((3,), 1))
     assert (a - b).terms == {(2, 1): Fraction(-3, 2), (3,): Fraction(3)}
+
+
+def test_first_difference_is_at_the_least_differing_composition():
+    a = M(((1, 2), 1), ((2, 1), 3), ((3,), -1))
+    assert first_difference(a, QsymExpr("M", dict(a.terms))) is None
+    b = M(((1, 2), 1), ((2, 1), 4), ((1, 1, 1), 2))
+    assert first_difference(a, b) == ((1, 1, 1), 0, 2)
+    assert first_difference(b, a) == ((1, 1, 1), 2, 0)
+    c = M(((1, 2), 1), ((2, 1), 4), ((3,), -1))
+    assert first_difference(a, c) == ((2, 1), 3, 4)
+    assert all(type(x) is Fraction for x in first_difference(a, b)[1:])

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from qmn import mn, rewrites
+from qmn.cli import main
 from qmn.mn import mn_expansion
-from qmn.posets import PosetError, from_covers, is_naturally_labeled
-from qmn.qsym import QsymExpr
+from qmn.posets import PosetError, PosetTooLarge, from_covers, is_naturally_labeled, random_poset
+from qmn.qsym import QsymExpr, first_difference
 from qmn.rewrites import (
     add_edge_pair,
     chain_from_marks,
+    random_check,
     reduce_to_natural_chains,
     split_weight,
 )
@@ -179,3 +182,70 @@ def test_reduction_of_natural_chain_is_itself():
     chain = chain_from_marks([False, False], [2, 1, 3])
     out = reduce_to_natural_chains(chain)
     assert out == [(1, chain, (2, 1, 3))]
+
+
+def _printed(rows, count):
+    """(stdout, stderr) of `qmn random-check` on these rows of random_check."""
+    err = ""
+    for seed, n, diff, edge, split in rows:
+        failed = [] if diff is None else [
+            f"main (coefficient of M_{','.join(map(str, diff[0]))} differs: "
+            f"rule {diff[1]} vs oracle {diff[2]})"
+        ]
+        failed += [name for name, good in (("addEdge", edge), ("splitWeight", split)) if not good]
+        if failed:
+            err += f"FAIL: poset seed {seed}, n {n}: {', '.join(failed)}\n"
+    main_ok = sum(diff is None for _, _, diff, _, _ in rows)
+    edge_ok = sum(edge for *_, edge, _ in rows)
+    split_ok = sum(split for *_, split in rows)
+    return f"{main_ok}/{count} main, {edge_ok}/{count} addEdge, {split_ok}/{count} splitWeight\n", err
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "count, n_max, seed, max_n", [(12, 5, 3, 10), (30, 6, 3, 10), (10, 10, 0, 11)]
+)
+def test_random_check_returns_what_the_command_prints(capsys, count, n_max, seed, max_n):
+    rows = random_check(count, n_max, seed, max_n)
+    assert [row[:2] for row in rows] == [(seed * 10**6 + i, 1 + i % n_max) for i in range(count)]
+    assert all(row[2:] == (None, True, True) for row in rows)
+    argv = [f"--max-n={max_n}", "random-check", f"--count={count}", f"--n-max={n_max}"]
+    assert _cli(capsys, *argv, f"--seed={seed}") == (0, *_printed(rows, count))
+
+
+def test_random_check_reports_each_first_difference(capsys, monkeypatch):
+    fused = mn.mn_monomial_expansion
+
+    def bumped(poset, max_n=None):
+        terms = dict(fused(poset, max_n=max_n).terms)
+        terms[min(terms)] += 1
+        return QsymExpr("M", terms)
+
+    monkeypatch.setattr(mn, "mn_monomial_expansion", bumped)
+    rows = random_check(3, 3, 3)
+    for seed, n, diff, edge, split in rows:
+        poset = random_poset(n, Fraction(1, 2), seed=seed)
+        assert diff == first_difference(bumped(poset), monomial_expansion(poset))
+        assert diff[1] == diff[2] + 1 and (edge, split) == (True, True)
+    out, err = _printed(rows, 3)
+    assert out == "0/3 main, 3/3 addEdge, 3/3 splitWeight\n"
+    assert _cli(capsys, "random-check", "--count=3", "--n-max=3", "--seed=3") == (1, out, err)
+
+
+def test_random_check_refuses_before_any_poset_is_drawn(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a poset was drawn before the input was checked")
+
+    monkeypatch.setattr(rewrites, "random_poset", refuse)
+    for count, n_max in ((0, 3), (-1, 3), (2, 0)):
+        with pytest.raises(ValueError, match="^--count and --n-max must be at least 1$"):
+            random_check(count, n_max)
+    with pytest.raises(PosetTooLarge, match="^--n-max 10 exceeds guard 10 once a weight split"):
+        random_check(1, 10)
+    with pytest.raises(PosetTooLarge, match="^--n-max 12 exceeds guard 11$"):
+        random_check(1, 12, max_n=11)

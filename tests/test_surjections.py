@@ -8,7 +8,7 @@ from operator import attrgetter
 import pytest
 
 from tests.conftest import budgeted_random_poset, terms_at_partitions
-from qmn.compositions import coarsenings, compositions_of, partitions_of
+from qmn.compositions import coarsenings, partitions_of
 from qmn.mn import (
     _block_contribution,
     _weakly_decreasing,
@@ -21,7 +21,6 @@ from qmn.mn import (
 from qmn.posets import (
     LabeledPoset,
     from_covers,
-    induced_subposet,
     mask_elements,
     natural_relabeling,
     random_poset,
@@ -37,6 +36,7 @@ from qmn.surjections import (
     enumerate_partition_surjections,
     monomial_expansion,
 )
+from tests.reference import compositions_of, induced_subposet
 
 weak_chain = from_covers(2, [(0, 1)], [1, 2], [1, 1])
 strict_chain = from_covers(2, [(0, 1)], [2, 1], [1, 1])
@@ -226,7 +226,7 @@ def _open_run(s, w, rest):
 @pytest.mark.parametrize("step", [_one_part, _weakly_decreasing, _open_run])
 def test_fold_lists_each_ideal_once(cross_check_posets, step):
     shapes = [shape_to_poset(SkewShape(lam)) for lam in partitions_of(6)]
-    several = 0
+    several = cancelled = 0
     for p in cross_check_posets + shapes:
         engine = ChainEngine(p)
         listed, calls, expected_calls = [], [], []
@@ -243,12 +243,16 @@ def test_fold_lists_each_ideal_once(cross_check_posets, step):
         value = partial(_block_contribution, p)
         terms = engine.fold(value, recorded)
         expected, states = _forward_fold(p, value, step, expected_calls)
-        assert terms == expected, p.to_json_dict()
+        # the fold drops the keys whose coefficients cancel, and only those
+        assert 0 not in terms.values(), p.to_json_dict()
+        assert terms == {alpha: c for alpha, c in expected.items() if c}, p.to_json_dict()
+        cancelled += 0 in expected.values()
         assert Counter(calls) == Counter(expected_calls), p.to_json_dict()
         # each ideal below the top is listed once, and the top never
         assert sorted(listed) == sorted({ideal for ideal, _ in states}), p.to_json_dict()
         several += len(states) > len(listed)
     assert several or step is _one_part
+    assert cancelled
 
 
 def test_a_bounded_fold_reads_every_ideal_of_its_weight(cross_check_posets):
@@ -324,16 +328,16 @@ def test_prepended_keys_decode_to_their_compositions():
 
 
 def test_fold_output_wraps_as_the_checked_constructor(cross_check_posets):
-    """Fold output wrapped without the key check has the terms the checked
-    constructor builds: zeros dropped, every coefficient a Fraction."""
+    """The fold yields no zero coefficient, and its output wrapped without the
+    key check has the terms the checked constructor builds: every
+    coefficient a nonzero Fraction."""
     shapes = [shape_to_poset(SkewShape(lam)) for n in range(1, 8) for lam in partitions_of(n)]
-    zeros = 0
     for p in cross_check_posets + shapes:
         engine = ChainEngine(p)
         value = partial(_block_contribution, p)
         denominator = math.factorial(sum(p.d))
         for raw in (engine.fold(value), engine.fold(value, _weakly_decreasing)):
-            zeros += 0 in raw.values()
+            assert 0 not in raw.values(), p.to_json_dict()
             for basis in ("M", "PsiHat"):
                 wrapped = QsymExpr._from_fold(basis, raw).terms
                 assert wrapped == QsymExpr(basis, raw).terms, p.to_json_dict()
@@ -342,4 +346,3 @@ def test_fold_output_wraps_as_the_checked_constructor(cross_check_posets):
                 assert divided == QsymExpr(basis, scaled).terms, p.to_json_dict()
                 for terms in (wrapped, divided):
                     assert all(type(c) is Fraction and c for c in terms.values())
-    assert zeros
