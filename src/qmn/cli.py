@@ -11,9 +11,12 @@ modules its command runs.  `verify` compiles posets, qsym, surjections and
 mn; `random-check` those and rewrites; `identities` only identities and
 compositions.  `compositions` is imported only where a composition is
 parsed or printed, so a passing `verify` or `random-check` never compiles
-it; `json` loads only when a poset file is read or --json prints.  No
-module imports this one: run as `python -m qmn.cli` it is `__main__`, and
-an import would compile it a second time.
+it; `json` loads only when a poset file is read or --json prints.
+Whole coefficients are ints, so `fractions` loads only for `expand
+--basis Psi`, `random-check` and `identities`: `verify`, `schur`, `chi`
+and the other expansions never load it.  No module imports this one: run
+as `python -m qmn.cli` it is `__main__`, and an import would compile it a
+second time.
 """
 
 import argparse

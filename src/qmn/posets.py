@@ -20,7 +20,6 @@ every other builder here calls; it checks every field it stores.  It also holds 
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 
 from . import DEFAULT_MAX_N, PosetError, PosetTooLarge  # re-exported here
@@ -260,7 +259,8 @@ def random_poset(n, edge_density, seed) -> LabeledPoset:
     """
     if n < 1:
         raise PosetError("n must be >= 1")
-    import random  # here, so that a run that draws no poset never loads it
+    import random  # here, as Fraction, so that a run that draws no poset loads neither
+    from fractions import Fraction
 
     density = Fraction(edge_density)
     rng = random.Random(seed)

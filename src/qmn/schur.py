@@ -17,7 +17,6 @@ shape.  Nothing is cached from one call to the next.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import check_partition, partitions_of, z
@@ -226,6 +225,8 @@ def character_table(n: int, max_n=None):
 
 def orthogonality_check(n: int) -> bool:
     """Row orthogonality sum_mu chi_l(mu) chi_v(mu) / z_mu = [l == v]."""
+    from fractions import Fraction  # here, so that chi and the table never load it
+
     chis = {(lam, mu): value for lam, mu, value in character_table(n)}
     lams = partitions_of(n)
     for la in lams:

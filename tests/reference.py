@@ -13,6 +13,12 @@ from qmn.posets import LabeledPoset, PosetError
 from qmn.qsym import QsymExpr, psi_to_monomial
 
 
+def is_canonical_coefficient(c) -> bool:
+    """A stored coefficient is a nonzero int when whole, else a Fraction
+    whose denominator is above 1; never a float, never a whole Fraction."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+
+
 def refinement_blocks(alpha, beta) -> list:
     """Split alpha into consecutive blocks summing to the parts of beta.
 

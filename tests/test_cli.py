@@ -48,10 +48,29 @@ def test_expand_json_output(capsys):
     assert all(set(t) == {"alpha", "coeff"} for t in payload["terms"])
 
 
+# `expand --basis Psi` of the weighted strip: PsiHat_alpha / z_alpha, in
+# canonical order, as "composition coefficient" pairs.
+STRIP_PSI = """
+    1,2,1,1,1,2 1/48 1,2,1,1,2,1 1/48 1,2,1,2,1,1 1/48 1,2,1,2,2 1/12
+    1,2,2,1,2 1/24 1,2,2,2,1 1/24 1,2,3,1,1 1/18 1,2,3,2 1/4
+    1,2,4,1 1/8 1,2,5 1/5 1,3,1,1,2 -1/18 1,3,1,2,1 -1/18
+    1,3,2,1,1 -1/18 1,3,2,2 -1/6 1,4,1,2 -1/8 1,4,2,1 -1/8
+    1,5,1,1 -1/30 1,5,2 -3/10 1,6,1 -1/12 1,7 -1/7
+    3,1,1,1,2 -1/9 3,1,1,2,1 -1/9 3,1,2,1,1 -1/9 3,1,2,2 -1/3
+    3,2,1,2 -1/6 3,2,2,1 -1/6 3,3,1,1 -1/18 3,3,2 -1/6
+    3,4,1 -1/6 3,5 -2/15 4,1,1,2 1/8 4,1,2,1 1/8
+    4,2,1,1 1/8 4,2,2 1/8 5,1,2 1/5 5,2,1 1/5
+    6,1,1 1/12 6,2 1/4 7,1 1/7 8 1/8
+""".split()
+
+
 def test_expand_psi_basis(capsys):
     code, out = run(capsys, "expand", "--poset", CANCEL, "--basis", "Psi")
     assert code == EXIT_OK
     assert out.strip()
+    code, out = run(capsys, "expand", "--poset", STRIP, "--basis", "Psi")
+    assert code == EXIT_OK
+    assert out == "".join(f"{a}\t{c}\n" for a, c in zip(STRIP_PSI[::2], STRIP_PSI[1::2]))
 
 
 def test_oracle_matches_expand_in_m_basis(capsys):

@@ -108,11 +108,17 @@ def test_import_qmn_loads_no_submodule_until_a_name_is_used():
             ("verify", "--poset", "data/weighted_strip.json"),
             (
                 "qmn.schur", "qmn.identities", "qmn.rewrites", "qmn.compositions", "random",
-                "__future__",
+                "__future__", "fractions", "decimal",
             ),
         ),
-        (("schur", "--n", "4"), ("qmn.identities", "qmn.rewrites", "random")),
-        (("chi", "--lam", "1", "--mu", "1"), ("qmn.identities", "qmn.rewrites", "random")),
+        (
+            ("schur", "--n", "4"),
+            ("qmn.identities", "qmn.rewrites", "random", "fractions", "decimal"),
+        ),
+        (
+            ("chi", "--lam", "1", "--mu", "1"),
+            ("qmn.identities", "qmn.rewrites", "random", "fractions", "decimal"),
+        ),
         (
             ("random-check", "--count", "3", "--seed", "1"),
             ("qmn.schur", "qmn.identities", "qmn.compositions"),

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qmn.qsym import QsymExpr, equals, first_difference, psi_to_monomial, psihat_to_psi
-from tests.reference import compositions_of, evaluate, power_sum_symmetric, psi_to_psihat
+from tests.reference import (
+    compositions_of,
+    evaluate,
+    is_canonical_coefficient,
+    power_sum_symmetric,
+    psi_to_psihat,
+)
 
 
 def M(*terms):
@@ -138,10 +144,12 @@ def test_sums_differences_and_multiples_match_the_checked_constructor():
             (a - b, {k: a.coefficient(k) - b.coefficient(k) for k in keys}),
         ):
             assert got.basis == a.basis and got.terms == _checked(a.basis, raw)
-            assert all(type(c) is Fraction and c for c in got.terms.values())
-        for factor in (0, 2, Fraction(-1, 3)):
+            assert all(map(is_canonical_coefficient, got.terms.values()))
+        for factor in (0, 2, Fraction(-1, 3), Fraction(3)):
             raw = {k: c * factor for k, c in a.terms.items()}
-            assert a.scaled(factor).terms == _checked(a.basis, raw)
+            got = a.scaled(factor).terms
+            assert got == _checked(a.basis, raw)
+            assert all(map(is_canonical_coefficient, got.values()))
     with pytest.raises(ValueError):
         M(((1,), 1)) - QsymExpr("Psi", {(1,): 1})
 
@@ -162,4 +170,23 @@ def test_first_difference_is_at_the_least_differing_composition():
     assert first_difference(b, a) == ((1, 1, 1), 2, 0)
     c = M(((1, 2), 1), ((2, 1), 4), ((3,), -1))
     assert first_difference(a, c) == ((2, 1), 3, 4)
-    assert all(type(x) is Fraction for x in first_difference(a, b)[1:])
+    assert all(type(x) is int for x in first_difference(a, b)[1:])
+    half = M(((1, 1, 1), Fraction(1, 2)))
+    assert first_difference(half, b) == ((1, 1, 1), Fraction(1, 2), 2)
+
+
+def test_coefficients_are_ints_when_whole_and_never_floats():
+    """The checked constructor stores a whole coefficient as an int, keeps a
+    Fraction only when its denominator is above 1, reads a string exactly,
+    and refuses a float, as does `scaled`."""
+    expr = QsymExpr("PsiHat", {(1, 2): Fraction(6, 3), (2, 1): Fraction(1, 2), (3,): "3/4"})
+    assert expr.terms == {(1, 2): 2, (2, 1): Fraction(1, 2), (3,): Fraction(3, 4)}
+    assert all(map(is_canonical_coefficient, expr.terms.values()))
+    assert expr.coefficient((1, 1, 1)) == 0 and type(expr.coefficient((1, 1, 1))) is int
+    with pytest.raises(ValueError, match="float"):
+        QsymExpr("M", {(1,): 0.5})
+    with pytest.raises(ValueError, match="float"):
+        expr.scaled(0.5)
+    psi = psihat_to_psi(QsymExpr("PsiHat", {(2, 2): 3, (1,): 5}))
+    assert psi.terms == {(2, 2): Fraction(3, 8), (1,): 5}
+    assert all(map(is_canonical_coefficient, psi.terms.values()))
