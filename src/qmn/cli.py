@@ -1,9 +1,17 @@
 """Command-line front end: read posets, run expansions, cross-verify.
 
+    qmn [--max-n N] COMMAND [--flag VALUE | --flag=VALUE ...]
+
 Exit codes: 0 success/PASS, 1 verification FAIL (also a check that
 raises ArithmeticError), 2 input error, 3 size guard exceeded.  The guard
 is 10 elements (10 parts for identities --d) unless --max-n overrides it;
 the QMN_MAX_N environment variable, read once, is the default of --max-n.
+
+`parse_args` reads argv from one table, `COMMANDS`, which gives each
+command its function and each flag its type, default and choices.  Flag
+names are exact (no abbreviations), the last of a repeated flag wins, and
+a malformed argv prints usage and `qmn: error: ...` and exits 2, as
+argparse would; no request loads `argparse`, `gettext` or `locale`.
 
 This module parses, prints and sets exit codes; each command's work is a
 library call, imported inside the command, so a request compiles only the
@@ -12,16 +20,16 @@ mn; `random-check` those and rewrites; `identities` only identities and
 compositions.  `compositions` is imported only where a composition is
 parsed or printed, so a passing `verify` or `random-check` never compiles
 it; `json` loads only when a poset file is read or --json prints.
-Whole coefficients are ints, so `fractions` loads only for `expand
---basis Psi`, `random-check` and `identities`: `verify`, `schur`, `chi`
-and the other expansions never load it.  No module imports this one: run
-as `python -m qmn.cli` it is `__main__`, and an import would compile it a
-second time.
+Whole coefficients are ints and random posets are drawn in ints, so
+`fractions` loads only for `expand --basis Psi` and `identities`:
+`verify`, `schur`, `chi`, `random-check` and the other expansions never
+load it.  No module imports this one: run as `python -m qmn.cli` it is
+`__main__`, and an import would compile it a second time.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import DEFAULT_MAX_N, PosetError, PosetTooLarge
 
@@ -165,57 +173,147 @@ def cmd_random_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmn", description="Exact power sum expansions of weighted labeled posets."
+REQUIRED = object()  # the default of a flag that must be given
+SWITCH = (bool, False, None)  # a bare flag: True when given, else False
+
+# Each command's function, one-line help and flags.  A flag maps to its
+# type, its default (or REQUIRED) and its choices (or None); a str default
+# is converted by the type, as a given value is.
+COMMANDS = {
+    "expand": (cmd_expand, "power sum rule expansion of a poset file", {
+        "--poset": (str, REQUIRED, None),
+        "--basis": (str, "PsiHat", ("M", "Psi", "PsiHat")),
+        "--json": SWITCH,
+    }),
+    "oracle": (cmd_oracle, "brute-force monomial expansion", {
+        "--poset": (str, REQUIRED, None),
+        "--json": SWITCH,
+    }),
+    "verify": (cmd_verify, "compare rule against the brute-force oracle", {
+        "--poset": (str, REQUIRED, None),
+    }),
+    "schur": (cmd_schur, "character table for partitions of n", {
+        "--n": (int, REQUIRED, None),
+        "--json": SWITCH,
+    }),
+    "chi": (cmd_chi, "single character value; partitions as 3,1 and 2,1,1", {
+        "--lam": (str, REQUIRED, None),
+        "--mu": (str, REQUIRED, None),
+    }),
+    "identities": (cmd_identities, "coarsening identity report for a composition, e.g. 1,2,2", {
+        "--d": (str, REQUIRED, None),
+        "--json": SWITCH,
+        "--samples": (int, 0, None),
+        "--seed": (int, 0, None),
+    }),
+    "random-check": (cmd_random_check, "batch property check on random posets", {
+        "--count": (int, REQUIRED, None),
+        "--n-max": (int, 6, None),
+        "--seed": (int, 0, None),
+    }),
+}
+USAGE = "qmn [--max-n N] COMMAND [--flag VALUE | --flag=VALUE ...]"
+
+
+def _dest(flag) -> str:
+    """The attribute a flag sets: --n-max sets n_max."""
+    return flag[2:].replace("-", "_")
+
+
+def _synopsis(command) -> str:
+    """The command and its flags, optional ones in brackets."""
+    words = [command]
+    for flag, (kind, default, choices) in COMMANDS[command][2].items():
+        if kind is not bool:
+            flag += f" {{{','.join(choices)}}}" if choices else f" {_dest(flag).upper()}"
+        words.append(flag if default is REQUIRED else f"[{flag}]")
+    return " ".join(words)
+
+
+def _usage_error(message, command=None):
+    usage = USAGE if command is None else f"qmn [--max-n N] {_synopsis(command)}"
+    sys.stderr.write(f"usage: {usage}\nqmn: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _help():
+    rows = "".join(f"  {_synopsis(c)}\n      {COMMANDS[c][1]}\n" for c in COMMANDS)
+    sys.stdout.write(
+        f"usage: {USAGE}\n\nExact power sum expansions of weighted labeled posets.\n\n"
+        f"commands:\n{rows}\n"
+        f"--max-n N is the size guard (default: $QMN_MAX_N, else {DEFAULT_MAX_N}).\n"
+        "Flag names are exact; --flag=VALUE is --flag VALUE.\n"
     )
-    guard = os.environ.get("QMN_MAX_N") or DEFAULT_MAX_N  # read once; argparse converts it
-    parser.add_argument("--max-n", type=int, default=guard, help="size guard override")
-    sub = parser.add_subparsers(dest="command", required=True)
+    raise SystemExit(EXIT_OK)
 
-    p_expand = sub.add_parser("expand", help="power sum rule expansion of a poset file")
-    p_expand.add_argument("--poset", required=True)
-    p_expand.add_argument("--basis", choices=("M", "Psi", "PsiHat"), default="PsiHat")
-    p_expand.add_argument("--json", action="store_true")
-    p_expand.set_defaults(func=cmd_expand)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force monomial expansion")
-    p_oracle.add_argument("--poset", required=True)
-    p_oracle.add_argument("--json", action="store_true")
-    p_oracle.set_defaults(func=cmd_oracle)
+def _read_flags(argv, i, flags, command):
+    """Read flags from argv[i:] into {dest: value}, with every default, and
+    return it with the index where they end: at the first token not starting
+    with "-" before a command (command None), else at the end of argv."""
+    given = {}
+    while i < len(argv) and argv[i].startswith("-"):
+        token = argv[i]
+        if token in ("-h", "--help"):
+            _help()
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            _usage_error(f"unrecognized arguments: {token}", command)
+        kind = flags[flag][0]
+        if kind is bool:
+            if eq:
+                _usage_error(f"argument {flag}: ignored explicit argument {value!r}", command)
+            value = True
+        elif not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("--"):
+                _usage_error(f"argument {flag}: expected one argument", command)
+            value = argv[i]
+        given[flag] = value
+        i += 1
+    if command is not None and i < len(argv):
+        _usage_error(f"unrecognized arguments: {' '.join(argv[i:])}", command)
+    missing = [f for f, (_, default, _) in flags.items() if default is REQUIRED and f not in given]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}", command)
+    values = {}
+    for flag, (kind, default, choices) in flags.items():
+        value = given.get(flag, default)
+        if isinstance(value, str):
+            try:
+                value = kind(value)
+            except ValueError:
+                _usage_error(f"argument {flag}: invalid {kind.__name__} value: {value!r}", command)
+        if choices and value not in choices:
+            _usage_error(
+                f"argument {flag}: invalid choice: {value!r} "
+                f"(choose from {', '.join(map(repr, choices))})",
+                command,
+            )
+        values[_dest(flag)] = value
+    return values, i
 
-    p_verify = sub.add_parser("verify", help="compare rule against the brute-force oracle")
-    p_verify.add_argument("--poset", required=True)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_schur = sub.add_parser("schur", help="character table for partitions of n")
-    p_schur.add_argument("--n", type=int, required=True)
-    p_schur.add_argument("--json", action="store_true")
-    p_schur.set_defaults(func=cmd_schur)
-
-    p_chi = sub.add_parser("chi", help="single character value")
-    p_chi.add_argument("--lam", required=True, help="partition, e.g. 3,1")
-    p_chi.add_argument("--mu", required=True, help="partition, e.g. 2,1,1")
-    p_chi.set_defaults(func=cmd_chi)
-
-    p_idents = sub.add_parser("identities", help="coarsening identity report for a composition")
-    p_idents.add_argument("--d", required=True, help="composition, e.g. 1,2,2")
-    p_idents.add_argument("--json", action="store_true")
-    p_idents.add_argument("--samples", type=int, default=0)
-    p_idents.add_argument("--seed", type=int, default=0)
-    p_idents.set_defaults(func=cmd_identities)
-
-    p_rand = sub.add_parser("random-check", help="batch property check on random posets")
-    p_rand.add_argument("--count", type=int, required=True)
-    p_rand.add_argument("--n-max", type=int, default=6)
-    p_rand.add_argument("--seed", type=int, default=0)
-    p_rand.set_defaults(func=cmd_random_check)
-
-    return parser
+def parse_args(argv):
+    """The namespace of `qmn [--max-n N] COMMAND [--flag VALUE | --flag=VALUE ...]`:
+    max_n, command, the command's function as func, and one attribute per
+    flag of the command.  A malformed argv prints usage and an error on
+    stderr and raises SystemExit(2); -h or --help prints help and exits 0."""
+    guard = os.environ.get("QMN_MAX_N") or DEFAULT_MAX_N  # read once; converted as --max-n
+    values, i = _read_flags(argv, 0, {"--max-n": (int, guard, None)}, None)
+    if i == len(argv):
+        _usage_error("the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _usage_error(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    func, _, flags = COMMANDS[command]
+    values.update(_read_flags(argv, i + 1, flags, command)[0], command=command, func=func)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except PosetTooLarge as exc:

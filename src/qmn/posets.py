@@ -255,21 +255,28 @@ def random_poset(n, edge_density, seed) -> LabeledPoset:
     """Seed-deterministic random weighted labeled poset.
 
     A random DAG on a shuffled element order, transitively closed, with a
-    random bijective labeling and weights uniform in {1, 2, 3}.
+    random bijective labeling and weights uniform in {1, 2, 3}.  The edge
+    density is exact: an int, a Fraction or a (numerator, denominator)
+    pair of ints with a positive denominator.  Each pair of the order is
+    an edge when its draw r in [0, 10**6) has r / 10**6 below the density,
+    compared in ints.
     """
     if n < 1:
         raise PosetError("n must be >= 1")
-    import random  # here, as Fraction, so that a run that draws no poset loads neither
-    from fractions import Fraction
+    import random  # here, so that a run that draws no poset never loads it
 
-    density = Fraction(edge_density)
+    if isinstance(edge_density, tuple):
+        num, den = edge_density
+    else:
+        num, den = edge_density.as_integer_ratio()
+    bound = num * 10**6
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
-            if Fraction(rng.randrange(10**6), 10**6) < density:
+            if rng.randrange(10**6) * den < bound:
                 pairs.append((order[i], order[j]))
     omega = list(range(1, n + 1))
     rng.shuffle(omega)

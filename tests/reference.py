@@ -1,15 +1,19 @@
 """Plain references the tests compare the package against.
 
 None of these runs in a command: each is the textbook definition of
-something the package computes another way, kept here so that the check
-stays independent of the code under test.
+something the package computes another way, or the code a faster one
+replaced, kept here so that the check stays independent of the code under
+test.
 """
 
+import argparse
+import os
 from fractions import Fraction
 from itertools import combinations
 
+from qmn import DEFAULT_MAX_N, cli
 from qmn.compositions import blocks_pi, check_composition, check_partition, coarsenings, rearrangements, z
-from qmn.posets import LabeledPoset, PosetError
+from qmn.posets import LabeledPoset, PosetError, from_covers
 from qmn.qsym import QsymExpr, psi_to_monomial
 
 
@@ -117,3 +121,76 @@ def induced_subposet(p: LabeledPoset, subset):
     for rank, x in enumerate(ranked, start=1):
         omega[index[x]] = rank
     return LabeledPoset(len(elements), less, omega, [p.d[x] for x in elements])
+
+
+def random_poset_by_fraction(n, edge_density, seed) -> LabeledPoset:
+    """`posets.random_poset` as it drew before it compared in ints: each
+    uniform draw is a Fraction of 10**6 compared with the density."""
+    import random
+
+    if n < 1:
+        raise PosetError("n must be >= 1")
+    density = Fraction(edge_density)
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if Fraction(rng.randrange(10**6), 10**6) < density:
+                pairs.append((order[i], order[j]))
+    omega = list(range(1, n + 1))
+    rng.shuffle(omega)
+    d = tuple(rng.randint(1, 3) for _ in range(n))
+    return from_covers(n, pairs, omega, d)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command table replaced; `cli.parse_args` must
+    give its namespace on every valid argv."""
+    parser = argparse.ArgumentParser(
+        prog="qmn", description="Exact power sum expansions of weighted labeled posets."
+    )
+    guard = os.environ.get("QMN_MAX_N") or DEFAULT_MAX_N
+    parser.add_argument("--max-n", type=int, default=guard, help="size guard override")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_expand = sub.add_parser("expand", help="power sum rule expansion of a poset file")
+    p_expand.add_argument("--poset", required=True)
+    p_expand.add_argument("--basis", choices=("M", "Psi", "PsiHat"), default="PsiHat")
+    p_expand.add_argument("--json", action="store_true")
+    p_expand.set_defaults(func=cli.cmd_expand)
+
+    p_oracle = sub.add_parser("oracle", help="brute-force monomial expansion")
+    p_oracle.add_argument("--poset", required=True)
+    p_oracle.add_argument("--json", action="store_true")
+    p_oracle.set_defaults(func=cli.cmd_oracle)
+
+    p_verify = sub.add_parser("verify", help="compare rule against the brute-force oracle")
+    p_verify.add_argument("--poset", required=True)
+    p_verify.set_defaults(func=cli.cmd_verify)
+
+    p_schur = sub.add_parser("schur", help="character table for partitions of n")
+    p_schur.add_argument("--n", type=int, required=True)
+    p_schur.add_argument("--json", action="store_true")
+    p_schur.set_defaults(func=cli.cmd_schur)
+
+    p_chi = sub.add_parser("chi", help="single character value")
+    p_chi.add_argument("--lam", required=True, help="partition, e.g. 3,1")
+    p_chi.add_argument("--mu", required=True, help="partition, e.g. 2,1,1")
+    p_chi.set_defaults(func=cli.cmd_chi)
+
+    p_idents = sub.add_parser("identities", help="coarsening identity report for a composition")
+    p_idents.add_argument("--d", required=True, help="composition, e.g. 1,2,2")
+    p_idents.add_argument("--json", action="store_true")
+    p_idents.add_argument("--samples", type=int, default=0)
+    p_idents.add_argument("--seed", type=int, default=0)
+    p_idents.set_defaults(func=cli.cmd_identities)
+
+    p_rand = sub.add_parser("random-check", help="batch property check on random posets")
+    p_rand.add_argument("--count", type=int, required=True)
+    p_rand.add_argument("--n-max", type=int, default=6)
+    p_rand.add_argument("--seed", type=int, default=0)
+    p_rand.set_defaults(func=cli.cmd_random_check)
+
+    return parser

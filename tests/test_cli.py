@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmn import identities, mn, posets, rewrites, schur
-from qmn.cli import EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main
+from qmn.cli import COMMANDS, EXIT_FAIL, EXIT_GUARD, EXIT_INPUT, EXIT_OK, _verify_poset, main, parse_args
 from qmn.compositions import partitions_of
 from qmn.posets import random_poset
 from qmn.qsym import QsymExpr
 from qmn.surjections import ChainEngine
+from tests.reference import build_parser
 from tests.test_posets import _poset_json
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -333,6 +335,108 @@ def test_qmn_max_n_is_the_default_of_max_n(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("QMN_MAX_N", "5")
     assert main(["verify", "--poset", str(chain)]) == EXIT_GUARD
     assert run(capsys, "--max-n", "11", "verify", "--poset", str(chain)) == (EXIT_OK, "PASS\n")
+
+
+# Every valid argv of this file, the README, CI and the benchmark, with
+# --flag=VALUE forms, repeated flags, --max-n before the command and
+# QMN_MAX_N set; as (QMN_MAX_N or None, argv).
+_VALID_ARGV = [
+    (None, "expand --poset data/weighted_strip.json"),
+    (None, "expand --poset data/cancellation.json --basis M --json"),
+    (None, "expand --poset data/cancellation.json --basis Psi"),
+    (None, "expand --poset=data/cancellation.json --basis=PsiHat --json"),
+    (None, "oracle --poset data/cancellation.json"),
+    (None, "oracle --poset data/cancellation.json --json"),
+    (None, "verify --poset data/weighted_strip.json"),
+    (None, "--max-n 11 verify --poset chain11.json"),
+    (None, "--max-n=11 expand --poset big.json"),
+    (None, "schur --n 3 --json"),
+    (None, "schur --n -1"),
+    (None, "schur --n=0 --json"),
+    (None, "--max-n 12 schur --n 12"),
+    (None, "chi --lam 2,1 --mu 3"),
+    (None, "--max-n 30 chi --lam 10,10,10 --mu 5,5,5,5,5,5"),
+    (None, "chi --lam=5000 --mu=5000"),
+    (None, "identities --d 1,2,2 --json --samples 500 --seed 1"),
+    (None, "identities --d 1,2,2 --samples 100000 --seed 1"),
+    (None, "identities --d=1,2"),
+    (None, "identities --d 1,2 --samples -5"),
+    (None, "identities --d= --samples=-1 --seed=9 --json"),
+    (None, "--max-n 11 identities --d 1,1,1,1,1,1,1,1,1,1,1"),
+    (None, "random-check --count 50 --n-max 6 --seed 0"),
+    (None, "random-check --count -1"),
+    (None, "random-check --count=3 --n-max=3 --seed=3"),
+    (None, "--max-n 11 random-check --count 10 --n-max 10 --seed 0"),
+    (None, "schur --n 3 --n 4 --json --json"),
+    (None, "--max-n 5 --max-n 11 verify --poset a.json --poset b.json"),
+    (None, "expand --poset a.json --basis M --basis=Psi"),
+    ("11", "verify --poset data/weighted_strip.json"),
+    ("11", "--max-n 5 verify --poset data/weighted_strip.json"),
+    ("abc", "--max-n 4 chi --lam 1 --mu 1"),
+    ("", "chi --lam 1 --mu 1"),
+    ("07", "random-check --count 3"),
+]
+
+
+@pytest.mark.parametrize("env, argv", _VALID_ARGV, ids=[f"{e} {a}" for e, a in _VALID_ARGV])
+def test_parse_args_gives_the_namespace_of_the_argparse_parser(monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("QMN_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("QMN_MAX_N", env)
+    argv = argv.split()
+    assert vars(parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _python_m_cli(*argv):
+    """(exit code, stdout, stderr) of `python -m qmn.cli argv` on this checkout's sources."""
+    env = {"PYTHONPATH": str(DATA.parent / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "qmn.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["verify", "--poset", STRIP, "--bogus"],
+        ["--bogus", "verify", "--poset", STRIP],
+        ["verify", "--pos", STRIP],  # flag names are exact: no prefix matching
+        ["verify", "--poset"],
+        ["verify", "--poset", "--json"],
+        ["chi", "--lam", "2,1"],
+        ["schur", "--n", "x"],
+        ["schur", "--n", "3", "--json=yes"],
+        ["schur", "--n", "3", "4"],
+        ["expand", "--poset", STRIP, "--basis", "Q"],
+        ["verify", "--poset", STRIP, "--max-n", "11"],
+        ["--max-n", "x", "verify", "--poset", STRIP],
+    ],
+    ids=[
+        "no command", "unknown command", "unknown flag", "unknown flag before the command",
+        "abbreviated flag", "flag with no value", "flag for a value", "missing required flag",
+        "non-integer", "value on a switch", "stray argument", "bad choice",
+        "max-n after the command", "non-integer max-n",
+    ],
+)
+def test_a_malformed_argv_prints_usage_and_exits_2(argv):
+    code, out, err = _python_m_cli(*argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: qmn [--max-n N] ")
+    assert error.startswith("qmn: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"], ["--max-n", "3", "-h"]])
+def test_help_names_every_command_and_exits_0(argv):
+    code, out, err = _python_m_cli(*argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: qmn [--max-n N] COMMAND [--flag VALUE | --flag=VALUE ...]\n")
+    assert len(COMMANDS) == 7
+    assert all(f"\n  {command} " in out for command in COMMANDS)
 
 
 def test_huge_n_in_a_poset_file_is_an_input_error(capsys, tmp_path):

@@ -12,7 +12,7 @@ from qmn.posets import (
     natural_relabeling,
     random_poset,
 )
-from tests.reference import induced_subposet
+from tests.reference import induced_subposet, random_poset_by_fraction
 
 
 def label_index(p, label):
@@ -129,6 +129,16 @@ def test_random_poset_deterministic_and_valid():
     b = random_poset(6, Fraction(1, 2), seed=42)
     assert a == b
     assert random_poset(1, Fraction(1, 2), seed=0).n == 1
+
+
+@pytest.mark.parametrize("density", [0, Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)])
+def test_random_poset_draws_the_posets_of_the_fraction_comparison(density):
+    ratio = density.as_integer_ratio()
+    for seed in range(60):
+        n = 1 + seed % 9
+        expected = random_poset_by_fraction(n, density, seed)
+        assert random_poset(n, density, seed) == expected
+        assert random_poset(n, ratio, seed) == expected
 
 
 def test_closure_reduction_roundtrip():
