@@ -42,7 +42,7 @@ _EXPORTS = {
         "random_poset",
     ),
     "qsym": ("QsymExpr", "equals", "psi_to_monomial"),
-    "rewrites": ("add_edge_pair", "reduce_to_natural_chains", "split_weight"),
+    "rewrites": ("add_edge_pair", "split_weight"),
     "schur": ("SkewShape", "chi", "chi_bst", "shape_to_poset"),
     "surjections": (
         "OrderSurjection",

@@ -20,11 +20,12 @@ mn; `random-check` those and rewrites; `identities` only identities and
 compositions.  `compositions` is imported only where a composition is
 parsed or printed, so a passing `verify` or `random-check` never compiles
 it; `json` loads only when a poset file is read or --json prints.
-Whole coefficients are ints and random posets are drawn in ints, so
-`fractions` loads only for `expand --basis Psi` and `identities`:
-`verify`, `schur`, `chi`, `random-check` and the other expansions never
-load it.  No module imports this one: run as `python -m qmn.cli` it is
-`__main__`, and an import would compile it a second time.
+Whole coefficients are ints, random posets are drawn in ints and the
+coarsening identities are checked in ints, so `fractions` loads only for
+`expand --basis Psi`: `verify`, `schur`, `chi`, `random-check`,
+`identities` and the other expansions never load it.  No module imports
+this one: run as `python -m qmn.cli` it is `__main__`, and an import
+would compile it a second time.
 """
 
 import os

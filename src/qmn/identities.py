@@ -14,22 +14,26 @@ weights and hooks of a beta-tree.  A term of either coarsening sum is a
 product of one weight per run, and a run's weight is its root's factor
 times one link factor per further part, so both sums come from one
 recursion over the first cut point in 2 len(d) - 1 products instead of
-2^(len(d)-1) terms.  The q-sum runs it twice in plain integers: at q = 1,
-for a bound on every coefficient, then at one packed q wide enough that
-no coefficient carries, and unpacks each sum once.  The hook-length
-check tests each hook quotient for integrality, so it streams the cuts
-by first cut point, one (hook product, root product) pair per cut;
-omega_probability and beta_tree cut d once by the block sizes beta.
+2^(len(d)-1) terms.  Cleared of denominators, it runs twice in plain
+integers: at q = 1, which gives the coarsening sum over the product of
+the prefix sums and a bound on every coefficient of the q-sum, then at
+one packed q wide enough that no coefficient carries, and each q-sum is
+unpacked once.  The hook-length check tests each hook quotient for
+integrality, so it streams the cuts by first cut point, one (hook
+product, root product) pair per cut; omega_probability and beta_tree cut
+d once by the block sizes beta.
 
-`report` runs every check on one composition and returns what `qmn
-identities` prints; the command only prints it and sets the exit code.
+`report` runs every check on one composition, in ints, and returns what
+`qmn identities` prints; the command only prints it and sets the exit
+code.  Only the functions that return a rational (omega_probability,
+probabilistic_sum and staircase_monte_carlo) import `fractions`, when
+called, so `qmn identities` never loads it, with or without --samples.
 """
 
 import math
 import sys
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import accumulate
 
 from . import DEFAULT_MAX_N, PosetTooLarge
@@ -78,12 +82,6 @@ class QPolynomial:
         product = _pack(a, width) * _pack(b, width)
         return QPolynomial(_unpack(product, width, len(a) + len(b) - 1))
 
-    def shifted(self, power):
-        """Multiply by q^power."""
-        if not self.coeffs:
-            return self
-        return QPolynomial((0,) * power + self.coeffs)
-
 
 def _pack(coeffs, width):
     """The value at q = 256^width of nonnegative coefficients below 256^width."""
@@ -121,9 +119,11 @@ def _cut(d, beta):
     return tuple(d[end - size : end] for size, end in zip(beta, accumulate(beta)))
 
 
-def omega_probability(d, beta) -> Fraction:
-    """Exact probability of the staircase event indexed by beta:
+def omega_probability(d, beta):
+    """Exact probability, a Fraction, of the staircase event indexed by beta:
     prod_j d_{i_j} / (alpha_1 + ... + alpha_j) for the cut of d by beta."""
+    from fractions import Fraction
+
     roots, ends = _cut_terms(_cut(d, beta))
     return Fraction(math.prod(roots), math.prod(ends))
 
@@ -148,37 +148,35 @@ def _suffix_sums(roots, links, one) -> list:
     return sums
 
 
-def _probability_suffix_sums(d) -> list:
-    """_suffix_sums with R(i, j) = d[i] / (d[0] + ... + d[j-1]) for the run
-    d[i:j]: the root d[i] / P_{i+1} times the links P_m / P_{m+1}, where P_m
-    = d[0] + ... + d[m-1]."""
-    prefix = (0, *accumulate(d))
-    return _suffix_sums(
-        [Fraction(part, end) for part, end in zip(d, prefix[1:])],
-        [Fraction(m, end) for m, end in zip(prefix, prefix[1:])],
-        Fraction(1),
-    )
-
-
-def probabilistic_sum(d) -> Fraction:
-    """Sum over coarsenings of prod d_{i_j} / (alpha_1 + ... + alpha_j).
-
-    Computed without assuming the identity; the value is always 1.
-    """
-    return _probability_suffix_sums(check_composition(d))[0]
-
-
 def _cleared_suffix_sums(d, bracket, shift) -> list:
     """_suffix_sums at q = 2^shift of the cleared q-term R(i, j) = q^{P_i}
     [d[i]]_q prod_{i<m<j} [P_m]_q of the run d[i:j], where P_m = d[0] + ...
-    + d[m-1] and bracket(m) is the integer [m]_q."""
+    + d[m-1] and bracket(m) is the integer [m]_q.
+
+    At q = 1 (bracket int, shift 0) a cut of d[i:] weighs its staircase
+    probability, prod d[i_j] / P_{end of run j}, times P_{i+1} ... P_k, so
+    S(i) / (P_{i+1} ... P_k) is the coarsening sum over the cuts of d[i:].
+    """
     prefix = (0, *accumulate(d))
     roots = [bracket(part) << shift * start for part, start in zip(d, prefix)]
     return _suffix_sums(roots, list(map(bracket, prefix)), 1)
 
 
-def _q_suffix_sums(d) -> list:
-    """The cleared q-polynomials S(i) of _cleared_suffix_sums.
+def probabilistic_sum(d):
+    """Sum over coarsenings of prod d_{i_j} / (alpha_1 + ... + alpha_j), a
+    Fraction: the cleared sum S(0) at q = 1 over P_1 ... P_k.
+
+    Computed without assuming the identity; the value is always 1.
+    """
+    from fractions import Fraction
+
+    d = check_composition(d)
+    return Fraction(_cleared_suffix_sums(d, int, 0)[0], math.prod(accumulate(d)))
+
+
+def _q_suffix_sums(d, at_one) -> list:
+    """The cleared q-polynomials S(i) of _cleared_suffix_sums, given their
+    values at q = 1, at_one = _cleared_suffix_sums(d, int, 0).
 
     Every coefficient is nonnegative, so S(i) at q = 1 bounds each of its
     coefficients.  The sums are then taken once more at q = 256^width, for
@@ -186,10 +184,19 @@ def _q_suffix_sums(d) -> list:
     `width`-byte ones, q^s a shift, and each product or sum one integer
     operation (Kronecker substitution), from which no coefficient carries.
     """
-    width = max(_cleared_suffix_sums(d, int, 0)).bit_length() // 8 + 1
+    width = max(at_one).bit_length() // 8 + 1
     one = (1).to_bytes(width, "little")
     packed = _cleared_suffix_sums(d, lambda m: int.from_bytes(one * m, "little"), 8 * width)
     return [QPolynomial(_unpack(s, width, -(-s.bit_length() // (8 * width)))) for s in packed]
+
+
+def _check_q_identity(d, at_one):
+    """Raise ArithmeticError unless the cleared q-sum S(0) of d, whose
+    suffix sums at q = 1 are at_one, equals the product of the column
+    totals [d_1 + ... + d_i]_q."""
+    full = math.prod(map(q_integer, accumulate(d)), start=ONE)
+    if _q_suffix_sums(d, at_one)[0] != full:
+        raise ArithmeticError("q-identity numerator does not match the cleared denominator")
 
 
 def q_probabilistic_sum(d) -> QPolynomial:
@@ -205,10 +212,8 @@ def q_probabilistic_sum(d) -> QPolynomial:
     identity.
     """
     d = check_composition(d)
-    full = math.prod(map(q_integer, accumulate(d)), start=ONE)
-    if _q_suffix_sums(d)[0] == full:
-        return ONE
-    raise ArithmeticError("q-identity numerator does not match the cleared denominator")
+    _check_q_identity(d, _cleared_suffix_sums(d, int, 0))
+    return ONE
 
 
 # --- beta-trees and linear extensions ---------------------------------------
@@ -325,21 +330,14 @@ def linext_identity_check(d):
 # --- staircase Monte Carlo --------------------------------------------------
 
 
-def classify_staircase_vector(d, vector):
-    """The block pattern beta of a staircase selection vector.
-
-    vector[i] picks a value in 1..(d_1 + ... + d_{i+1}); the selected row
-    of the last column gives the final part, those columns are removed,
-    and the procedure repeats.
-    """
-    columns = tuple(accumulate(check_composition(d)))
-    if len(vector) != len(columns) or any(not 1 <= a <= c for a, c in zip(vector, columns)):
-        raise ValueError("vector is not a staircase selection")
-    return _classify(columns, vector)
-
-
 def _classify(columns, vector):
-    """classify_staircase_vector on a checked vector, given the column totals."""
+    """The block pattern beta of a staircase selection vector, given the
+    column totals columns[i] = d_1 + ... + d_{i+1}.
+
+    vector[i] picks a value in 1..columns[i]; the selected row of the last
+    column gives the final part, those columns are removed, and the
+    procedure repeats.
+    """
     parts = []
     remaining = len(columns)
     while remaining:
@@ -349,18 +347,25 @@ def _classify(columns, vector):
     return tuple(reversed(parts))
 
 
-def staircase_monte_carlo(d, samples, seed):
-    """Empirical frequency of each block pattern under uniform sampling."""
+def _staircase_counts(d, samples, seed) -> Counter:
+    """How often each block pattern comes up in `samples` seeded uniform
+    staircase draws."""
     columns = tuple(accumulate(check_composition(d)))
     if samples < 1:
         raise ValueError("samples must be >= 1")
     import random  # here, so that a report without samples never loads it
 
     rng = random.Random(seed)
-    counts = Counter(
+    return Counter(
         _classify(columns, [rng.randrange(c) + 1 for c in columns]) for _ in range(samples)
     )
-    return {beta: Fraction(c, samples) for beta, c in counts.items()}
+
+
+def staircase_monte_carlo(d, samples, seed):
+    """Empirical frequency, a Fraction, of each block pattern under uniform sampling."""
+    from fractions import Fraction
+
+    return {beta: Fraction(c, samples) for beta, c in _staircase_counts(d, samples, seed).items()}
 
 
 # --- the report of `qmn identities` ----------------------------------------
@@ -376,6 +381,12 @@ def _refuse_unprintable_factorial(n):
             product *= k
             if product >= bound:
                 raise ValueError(f"--d sums to {n}, and {n}! has more digits than Python prints")
+
+
+def _ratio(num, den) -> str:
+    """num/den in lowest terms, printed as a Fraction's numerator/denominator."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def report(d, samples=0, seed=0, max_n=None):
@@ -395,20 +406,20 @@ def report(d, samples=0, seed=0, max_n=None):
     if samples < 0:
         raise ValueError("--samples must be nonnegative")
     _refuse_unprintable_factorial(sum(d))
-    total = probabilistic_sum(d)
-    q_ok = q_probabilistic_sum(d) == ONE
+    at_one = _cleared_suffix_sums(d, int, 0)
+    prefix_product = math.prod(accumulate(d))  # the coarsening sum is at_one[0] / prefix_product
+    _check_q_identity(d, at_one)
     lhs, rhs = linext_identity_check(d)
     fields = {
         "d": format_composition(d),
-        "sum": f"{total.numerator}/{total.denominator}",
-        "q_identity": q_ok,
+        "sum": _ratio(at_one[0], prefix_product),
+        "q_identity": True,  # a false q-identity raised ArithmeticError above
         "linext_lhs": str(lhs),
         "linext_rhs": str(rhs),
     }
     if samples:
-        freqs = staircase_monte_carlo(d, samples, seed)
+        counts = _staircase_counts(d, samples, seed)
         fields["monte_carlo"] = {
-            format_composition(beta): f"{f.numerator}/{f.denominator}"
-            for beta, f in sorted(freqs.items())
+            format_composition(beta): _ratio(c, samples) for beta, c in sorted(counts.items())
         }
-    return total == 1 and q_ok and lhs == rhs, fields
+    return at_one[0] == prefix_product and lhs == rhs, fields

@@ -8,13 +8,24 @@ test.
 
 import argparse
 import os
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from qmn import DEFAULT_MAX_N, cli
-from qmn.compositions import blocks_pi, check_composition, check_partition, coarsenings, rearrangements, z
-from qmn.posets import LabeledPoset, PosetError, from_covers
+from qmn import DEFAULT_MAX_N, PosetTooLarge, cli, identities
+from qmn.compositions import (
+    blocks_pi,
+    check_composition,
+    check_partition,
+    coarsenings,
+    format_composition,
+    rearrangements,
+    z,
+)
+from qmn.identities import QPolynomial
+from qmn.posets import LabeledPoset, PosetError, check_size_guard, from_covers, topological_order
 from qmn.qsym import QsymExpr, psi_to_monomial
+from qmn.rewrites import add_edge_pair, first_incomparable_pair
 
 
 def is_canonical_coefficient(c) -> bool:
@@ -194,3 +205,148 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.set_defaults(func=cli.cmd_random_check)
 
     return parser
+
+
+# --- chain reduction by the two rewrites -----------------------------------
+
+
+def chain_from_marks(marks, weights) -> LabeledPoset:
+    """A labeled chain x_1 < ... < x_n realizing the given edge marks.
+
+    marks[k] is True for a strict edge between positions k and k+1.  The
+    labeling is the canonical permutation with that descent pattern:
+    rank positions by (number of strict marks at or after the position,
+    position index).
+    """
+    n = len(weights)
+    if len(marks) != max(n - 1, 0):
+        raise PosetError("need one mark per chain edge")
+    strict_after = [0] * n
+    for k in range(n - 2, -1, -1):
+        strict_after[k] = strict_after[k + 1] + (1 if marks[k] else 0)
+    keys = sorted(range(n), key=lambda k: (strict_after[k], k))
+    omega = [0] * n
+    for rank, k in enumerate(keys, start=1):
+        omega[k] = rank
+    return from_covers(n, [(i, i + 1) for i in range(n - 1)], omega, weights)
+
+
+def _as_chain(p: LabeledPoset):
+    """Bottom-to-top element order if p is totally ordered, else None."""
+    order = topological_order(p)
+    return order if all(pair in p.less for pair in zip(order, order[1:])) else None
+
+
+def reduce_to_natural_chains(p: LabeledPoset, max_n=None):
+    """Signed list of naturally labeled weighted chains summing to K(P).
+
+    Incomparable pairs are eliminated first (smallest index pair, both
+    orientations, sign preserved).  On a chain, the first strict edge is
+    rewritten right-to-left through the weight-splitting identity: the
+    strict chain equals the weak-edge chain minus the chain with the two
+    vertices merged.  Each returned triple is (sign, chain, weights).
+    """
+    check_size_guard(p.n, max_n)
+    out = []
+    stack = [(1, p)]
+    while stack:
+        sign, q = stack.pop()
+        pair = first_incomparable_pair(q)
+        if pair is not None:
+            p1, p2 = add_edge_pair(q, *pair)
+            stack.append((sign, p1))
+            stack.append((sign, p2))
+            continue
+        order = _as_chain(q)
+        marks = [q.edge_is_strict(order[k], order[k + 1]) for k in range(q.n - 1)]
+        weights = [q.d[x] for x in order]
+        try:
+            k = marks.index(True)
+        except ValueError:
+            out.append((sign, chain_from_marks(marks, weights), tuple(weights)))
+            continue
+        weak_marks = marks[:]
+        weak_marks[k] = False
+        stack.append((sign, chain_from_marks(weak_marks, weights)))
+        merged_weights = weights[:k] + [weights[k] + weights[k + 1]] + weights[k + 2:]
+        merged_marks = marks[:k] + marks[k + 1:]
+        stack.append((-sign, chain_from_marks(merged_marks, merged_weights)))
+    return out
+
+
+# --- the coarsening identities in Fractions --------------------------------
+
+
+def shifted(poly: QPolynomial, power) -> QPolynomial:
+    """poly times q^power."""
+    return QPolynomial((0,) * power + poly.coeffs) if poly.coeffs else poly
+
+
+def classify_staircase_vector(d, vector):
+    """The block pattern beta of a staircase selection vector.
+
+    vector[i] picks a value in 1..(d_1 + ... + d_{i+1}); the selected row
+    of the last column gives the final part, those columns are removed,
+    and the procedure repeats.
+    """
+    columns = tuple(accumulate(check_composition(d)))
+    if len(vector) != len(columns) or any(not 1 <= a <= c for a, c in zip(vector, columns)):
+        raise ValueError("vector is not a staircase selection")
+    return identities._classify(columns, vector)
+
+
+def probability_suffix_sums(d) -> list:
+    """The coarsening sums over the cuts of d[i:], i = 0..k, by the suffix-sum
+    recursion in Fractions: R(i, j) = d[i] / (d[0] + ... + d[j-1]) for the
+    run d[i:j], the root d[i] / P_{i+1} times the links P_m / P_{m+1}, where
+    P_m = d[0] + ... + d[m-1]."""
+    prefix = (0, *accumulate(d))
+    return identities._suffix_sums(
+        [Fraction(part, end) for part, end in zip(d, prefix[1:])],
+        [Fraction(m, end) for m, end in zip(prefix, prefix[1:])],
+        Fraction(1),
+    )
+
+
+def fraction_monte_carlo(d, samples, seed):
+    """`identities.staircase_monte_carlo` as it returned a Fraction per pattern."""
+    import random
+
+    columns = tuple(accumulate(check_composition(d)))
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = random.Random(seed)
+    counts = Counter(
+        identities._classify(columns, [rng.randrange(c) + 1 for c in columns])
+        for _ in range(samples)
+    )
+    return {beta: Fraction(c, samples) for beta, c in counts.items()}
+
+
+def fraction_report(d, samples=0, seed=0, max_n=None):
+    """`identities.report` as it computed its sum and frequencies in
+    Fractions; it must give the same verdict and fields."""
+    d = check_composition(d)
+    limit = DEFAULT_MAX_N if max_n is None else max_n
+    if len(d) > limit:
+        raise PosetTooLarge(f"--d has {len(d)} parts, exceeding guard {limit}")
+    if samples < 0:
+        raise ValueError("--samples must be nonnegative")
+    identities._refuse_unprintable_factorial(sum(d))
+    total = probability_suffix_sums(d)[0]
+    q_ok = identities.q_probabilistic_sum(d) == identities.ONE
+    lhs, rhs = identities.linext_identity_check(d)
+    fields = {
+        "d": format_composition(d),
+        "sum": f"{total.numerator}/{total.denominator}",
+        "q_identity": q_ok,
+        "linext_lhs": str(lhs),
+        "linext_rhs": str(rhs),
+    }
+    if samples:
+        freqs = fraction_monte_carlo(d, samples, seed)
+        fields["monte_carlo"] = {
+            format_composition(beta): f"{f.numerator}/{f.denominator}"
+            for beta, f in sorted(freqs.items())
+        }
+    return total == 1 and q_ok and lhs == rhs, fields

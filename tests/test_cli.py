@@ -163,7 +163,7 @@ def test_identities_cost_is_bounded_by_the_total_not_the_parts(capsys, monkeypat
     assert seen["40"]["pack"] == 2 * seen["40"]["mul"] > 0
 
 
-def _false_q_sums(d):
+def _false_q_sums(d, at_one):
     return [identities.ONE] * (len(d) + 1)
 
 
@@ -486,7 +486,7 @@ def test_guard_refuses_before_partitions_shapes_or_closures(capsys, monkeypatch,
 
 
 def test_identities_refuses_before_any_sum(capsys, monkeypatch):
-    def refuse(d):
+    def refuse(roots, links, one):
         raise AssertionError("a coarsening sum ran before the input was checked")
 
     factorial = math.factorial
@@ -495,8 +495,7 @@ def test_identities_refuses_before_any_sum(capsys, monkeypatch):
         assert n < 10**4, "n! computed for a refused --d"
         return factorial(n)
 
-    monkeypatch.setattr(identities, "probabilistic_sum", refuse)
-    monkeypatch.setattr(identities, "q_probabilistic_sum", refuse)
+    monkeypatch.setattr(identities, "_suffix_sums", refuse)
     monkeypatch.setattr(math, "factorial", small_factorial)
     for argv in (("identities", "--d", "800,800,800"), ("identities", "--d", "1,2", "--samples", "-5")):
         code, _ = run(capsys, *argv)

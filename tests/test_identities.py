@@ -11,13 +11,12 @@ from qmn.cli import main
 from qmn.compositions import coarsening_blocks
 from qmn.identities import (
     ONE,
+    _cleared_suffix_sums,
     _hook_root_products,
-    _probability_suffix_sums,
     _q_suffix_sums,
     BetaTree,
     beta_tree,
     brute_force_linear_extensions,
-    classify_staircase_vector,
     linear_extension_count,
     linext_identity_check,
     omega_probability,
@@ -27,6 +26,12 @@ from qmn.identities import (
     report,
     staircase_monte_carlo,
     QPolynomial,
+)
+from tests.reference import (
+    classify_staircase_vector,
+    fraction_report,
+    probability_suffix_sums,
+    shifted,
 )
 
 SMALL = [
@@ -79,7 +84,7 @@ def _q_reference(d, i):
     total = QPolynomial(())
     for runs in coarsening_blocks(d[i:]):
         ends = [before + end for end in itertools.accumulate(map(sum, runs))]
-        factors = [q_integer(run[0]).shifted(s) for run, s in zip(runs, [before] + ends)]
+        factors = [shifted(q_integer(run[0]), s) for run, s in zip(runs, [before] + ends)]
         factors += [q_integer(c) for c in columns[i:] if c not in ends]
         total = total + math.prod(factors, start=ONE)
     return total
@@ -100,10 +105,15 @@ def _probability_reference(d, i):
 def test_sums_by_recursion_match_the_term_by_term_reference():
     # the identities hold, so comparing only verdicts would pass a sum that
     # returned the cleared denominator; compare the computed sums themselves,
-    # the suffix sums S(i), i > 0, too, which no verdict reads
+    # the suffix sums S(i), i > 0, too, which no verdict reads; the sums at
+    # q = 1 over the column totals P_{i+1} ... P_k are the probability sums
     for n in range(1, 7):
         for d in itertools.product(range(1, 4), repeat=n):
-            q_sums, p_sums = _q_suffix_sums(d), _probability_suffix_sums(d)
+            at_one = _cleared_suffix_sums(d, int, 0)
+            columns = tuple(itertools.accumulate(d))
+            q_sums = _q_suffix_sums(d, at_one)
+            p_sums = [Fraction(s, math.prod(columns[i:])) for i, s in enumerate(at_one)]
+            assert p_sums == probability_suffix_sums(d), d
             assert len(q_sums) == len(p_sums) == n + 1
             assert q_sums[n] == ONE and p_sums[n] == 1
             for i in range(n) if n <= 5 else (0,):
@@ -120,7 +130,7 @@ def test_packed_width_holds_the_largest_coefficient():
         reference = [_q_reference(d, i) for i in range(len(d))] + [ONE]
         width = max(sum(s.coeffs) for s in reference).bit_length() // 8 + 1
         assert max(max(s.coeffs) for s in reference) >= 256 ** (width - 1), d
-        assert _q_suffix_sums(d) == reference, d
+        assert _q_suffix_sums(d, _cleared_suffix_sums(d, int, 0)) == reference, d
 
 
 def test_beta_tree_shape():
@@ -267,8 +277,25 @@ def test_report_returns_what_the_command_prints(capsys, d, samples, seed):
     assert _cli(capsys, *argv, "--json") == (0, json.dumps(fields) + "\n", "")
 
 
+def test_report_matches_the_fraction_report():
+    # the int report against the Fraction report it replaced: the same verdict
+    # and fields on every d in {1,2,3}^k, k <= 6, and at the CLI's digit limit
+    for n in range(1, 7):
+        for d in itertools.product(range(1, 4), repeat=n):
+            assert report(d) == fraction_report(d), d
+            for seed in (0, 1, 2):
+                assert report(d, 200, seed) == fraction_report(d, 200, seed), (d, seed)
+    assert report((155,) * 10, 200, 0) == fraction_report((155,) * 10, 200, 0)
+
+
 def test_a_false_identity_reports_not_ok(capsys, monkeypatch):
-    monkeypatch.setattr(identities, "probabilistic_sum", lambda d: Fraction(2))
+    cleared = identities._cleared_suffix_sums
+
+    def doubled_at_one(d, bracket, shift):  # the coarsening sum S(0) / (P_1 ... P_k) reads 2
+        sums = cleared(d, bracket, shift)
+        return [2 * sums[0], *sums[1:]] if bracket is int else sums
+
+    monkeypatch.setattr(identities, "_cleared_suffix_sums", doubled_at_one)
     ok, fields = report((1, 2))
     assert not ok and fields["sum"] == "2/1"
     text = "".join(f"{key}\t{value}\n" for key, value in fields.items())
@@ -276,10 +303,10 @@ def test_a_false_identity_reports_not_ok(capsys, monkeypatch):
 
 
 def test_report_refuses_before_any_sum(monkeypatch):
-    def refuse(d):
+    def refuse(roots, links, one):
         raise AssertionError("a coarsening sum ran before the input was checked")
 
-    monkeypatch.setattr(identities, "probabilistic_sum", refuse)
+    monkeypatch.setattr(identities, "_suffix_sums", refuse)
     with pytest.raises(PosetTooLarge, match="^--d has 11 parts, exceeding guard 10$"):
         report((1,) * 11)
     with pytest.raises(PosetTooLarge, match="^--d has 3 parts, exceeding guard 2$"):

@@ -33,7 +33,7 @@ HOMES = {
         "random_poset",
     ),
     "qsym": ("QsymExpr", "equals", "psi_to_monomial"),
-    "rewrites": ("add_edge_pair", "reduce_to_natural_chains", "split_weight"),
+    "rewrites": ("add_edge_pair", "split_weight"),
     "schur": ("SkewShape", "chi", "chi_bst", "shape_to_poset"),
     "surjections": (
         "OrderSurjection",
@@ -55,7 +55,7 @@ def _run_bare(code, *args):
 
 
 def test_all_keeps_its_names():
-    assert len(NAMES) == 38
+    assert len(NAMES) == 37
     assert sorted(qmn.__all__) == NAMES
 
 
@@ -105,8 +105,12 @@ _NO_PARSER = ("argparse", "gettext", "locale")
             ("identities", "--d", "1,2,2"),
             (
                 "qmn.posets", "qmn.mn", "qmn.qsym", "qmn.surjections", "qmn.rewrites",
-                "qmn.schur", "json", "random", *_NO_PARSER,
+                "qmn.schur", "json", "random", "fractions", "decimal", "numbers", *_NO_PARSER,
             ),
+        ),
+        (
+            ("identities", "--d", "1,2,2", "--samples", "5"),
+            ("qmn.posets", "qmn.rewrites", "json", "fractions", "decimal", "numbers", *_NO_PARSER),
         ),
         (
             ("verify", "--poset", "data/weighted_strip.json"),
@@ -128,7 +132,7 @@ _NO_PARSER = ("argparse", "gettext", "locale")
             ("qmn.schur", "qmn.identities", "qmn.compositions", "fractions", "decimal", *_NO_PARSER),
         ),
     ],
-    ids=["identities", "verify", "schur", "chi", "random-check"],
+    ids=["identities", "identities --samples", "verify", "schur", "chi", "random-check"],
 )
 def test_a_command_loads_only_its_own_modules(argv, absent):
     code = (

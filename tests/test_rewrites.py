@@ -7,15 +7,10 @@ from qmn.cli import main
 from qmn.mn import mn_expansion
 from qmn.posets import PosetError, PosetTooLarge, from_covers, is_naturally_labeled, random_poset
 from qmn.qsym import QsymExpr, first_difference
-from qmn.rewrites import (
-    add_edge_pair,
-    chain_from_marks,
-    random_check,
-    reduce_to_natural_chains,
-    split_weight,
-)
+from qmn.rewrites import add_edge_pair, random_check, split_weight
 from qmn.surjections import monomial_expansion
 from tests.conftest import budgeted_random_poset
+from tests.reference import chain_from_marks, reduce_to_natural_chains
 
 
 def incomparable_pairs(p):
